@@ -66,16 +66,6 @@ Status CacheManager::set_closure_bytes(std::uint64_t bytes) {
   return Status::ok();
 }
 
-Result<PageIndex> CacheManager::grab_pages(std::uint32_t n) {
-  if (next_fresh_page_ + n > arena_.page_count()) {
-    return resource_exhausted("cache arena full (" +
-                              std::to_string(arena_.page_count()) + " pages)");
-  }
-  const PageIndex first = next_fresh_page_;
-  next_fresh_page_ += n;
-  return first;
-}
-
 std::uint32_t CacheManager::pages_spanned(const AllocationEntry& e) const {
   const std::uint64_t last = e.offset + e.size - 1;
   return static_cast<std::uint32_t>(last / arena_.page_size()) + 1;
@@ -103,14 +93,11 @@ Result<AllocationEntry> CacheManager::place_on_chain(Cursor& cursor, PageKind ki
   if (size > page_size) {
     // Large datum: an exclusive run of consecutive pages.
     const auto n = static_cast<std::uint32_t>((size + page_size - 1) / page_size);
-    auto first = grab_pages(n);
+    auto first = pages_.grab(n, kind, origin);
     if (!first) return first.status();
     for (std::uint32_t i = 0; i < n; ++i) {
-      PageInfo& info = pages_.info(first.value() + i);
-      info.kind = kind;
-      info.origin = origin;
-      info.bump = static_cast<std::uint32_t>(page_size);  // exclusive: no co-tenants
-      SRPC_RETURN_IF_ERROR(pages_.transition(first.value() + i, PageState::kAllocated));
+      pages_.info(first.value() + i).bump =
+          static_cast<std::uint32_t>(page_size);  // exclusive: no co-tenants
     }
     entry.page = first.value();
     entry.offset = 0;
@@ -130,14 +117,10 @@ Result<AllocationEntry> CacheManager::place_on_chain(Cursor& cursor, PageKind ki
     }
   }
   if (!fits) {
-    auto fresh = grab_pages(1);
+    auto fresh = pages_.grab(1, kind, origin);
     if (!fresh) return fresh.status();
     page = fresh.value();
     cursor.page = page;
-    PageInfo& info = pages_.info(page);
-    info.kind = kind;
-    info.origin = origin;
-    SRPC_RETURN_IF_ERROR(pages_.transition(page, PageState::kAllocated));
     offset = 0;
   }
   pages_.info(page).bump = static_cast<std::uint32_t>(offset + size);
@@ -211,7 +194,7 @@ Result<LongPointer> CacheManager::unswizzle(const void* addr) const {
 bool CacheManager::is_resident(const void* addr) const {
   const PageIndex page = arena_.page_of(addr);
   if (page == kInvalidPage) return false;
-  const PageState s = pages_.info(page).state;
+  const PageState s = pages_.state(page);
   return s == PageState::kClean || s == PageState::kDirty;
 }
 
@@ -225,7 +208,7 @@ Result<void*> CacheManager::allocate_resident(const LongPointer& provisional,
   const std::uint32_t span = pages_spanned(entry.value());
   for (std::uint32_t i = 0; i < span; ++i) {
     const PageIndex p = entry.value().page + i;
-    if (pages_.info(p).state == PageState::kAllocated) {
+    if (pages_.state(p) == PageState::kAllocated) {
       SRPC_RETURN_IF_ERROR(pages_.transition(p, PageState::kDirty));
       SRPC_RETURN_IF_ERROR(arena_.protect(p, PageProtection::kReadWrite));
     }
@@ -240,7 +223,7 @@ Result<void*> CacheManager::allocate_resident(const LongPointer& provisional,
 bool CacheManager::on_fault(void* addr, FaultAccess access) {
   const PageIndex page = arena_.page_of(addr);
   if (page == kInvalidPage) return false;
-  const PageState state = pages_.info(page).state;
+  const PageState state = pages_.state(page);
 
   switch (state) {
     case PageState::kEmpty:
@@ -359,7 +342,7 @@ Status CacheManager::prefetch(const void* addr, std::uint64_t closure_budget) {
   if (page == kInvalidPage) {
     return invalid_argument("prefetch of an address outside the cache");
   }
-  const PageState state = pages_.info(page).state;
+  const PageState state = pages_.state(page);
   if (state == PageState::kClean || state == PageState::kDirty) {
     return Status::ok();  // already resident
   }
@@ -381,7 +364,7 @@ Status CacheManager::prefetch_many(std::span<const void* const> addrs,
   for (const void* addr : addrs) {
     const PageIndex page = arena_.page_of(addr);
     if (page == kInvalidPage) continue;
-    const PageState state = pages_.info(page).state;
+    const PageState state = pages_.state(page);
     if (state != PageState::kAllocated) continue;
     if (std::find(fill_pages.begin(), fill_pages.end(), page) == fill_pages.end()) {
       fill_pages.push_back(page);
@@ -627,7 +610,7 @@ bool CacheManager::diff_entry(const AllocationEntry& entry,
   const std::uint32_t span = pages_spanned(entry);
   for (std::uint32_t i = 0; i < span; ++i) {
     const PageIndex p = entry.page + i;
-    if (pages_.info(p).state != PageState::kDirty) continue;  // unchanged
+    if (pages_.state(p) != PageState::kDirty) continue;  // unchanged
     if (!pages_.has_twin(p)) return false;  // born dirty: no baseline
     // The slice of the entry living on page p, in object-relative terms.
     const std::uint64_t page_lo = static_cast<std::uint64_t>(i) * page_size;
@@ -696,7 +679,7 @@ Result<CacheManager::ModifiedDatum> CacheManager::modified_datum(
   bool on_dirty_page = false;
   const std::uint32_t span = pages_spanned(*entry);
   for (std::uint32_t i = 0; i < span && !on_dirty_page; ++i) {
-    on_dirty_page = pages_.info(entry->page + i).state == PageState::kDirty;
+    on_dirty_page = pages_.state(entry->page + i) == PageState::kDirty;
   }
   if (!on_dirty_page) {
     return not_found("modified_datum: " + id.to_string() + " not modified");
@@ -714,7 +697,7 @@ Status CacheManager::dirty_spanned_pages(const AllocationEntry& entry) {
   const std::uint32_t span = pages_spanned(entry);
   for (std::uint32_t i = 0; i < span; ++i) {
     const PageIndex p = entry.page + i;
-    if (pages_.info(p).state == PageState::kClean) {
+    if (pages_.state(p) == PageState::kClean) {
       // Pre-write image first: it is the baseline later diffs run against.
       if (!pages_.has_twin(p)) {
         pages_.snapshot_twin(p, arena_.page_base(p), arena_.page_size());
@@ -829,17 +812,9 @@ std::vector<SpaceId> CacheManager::lapsed_sources(std::uint64_t vnow_ns,
 }
 
 std::size_t CacheManager::revoke_source(SpaceId source) {
-  std::size_t revoked = 0;
-  for (PageIndex p = 0; p < next_fresh_page_; ++p) {
-    PageInfo& info = pages_.info(p);
-    if (info.origin != source || info.kind != PageKind::kLazy) continue;
-    if (info.state != PageState::kClean && info.state != PageState::kDirty) {
-      continue;
-    }
+  const std::vector<PageIndex> revoked = pages_.revoke(source);
+  for (const PageIndex p : revoked) {
     (void)arena_.protect(p, PageProtection::kNone);
-    info.state = PageState::kAllocated;  // table entries survive; bytes do not
-    pages_.drop_twin(p);
-    ++revoked;
   }
   for (auto it = overlays_.begin(); it != overlays_.end();) {
     if (it->first->pointer.space == source) {
@@ -857,13 +832,12 @@ std::size_t CacheManager::revoke_source(SpaceId source) {
     lease_epoch_floor_[source] = lit->second.epoch + 1;
     leases_.erase(lit);
   }
-  return revoked;
+  return revoked.size();
 }
 
 void CacheManager::invalidate_all() {
-  if (next_fresh_page_ > 0) {
-    (void)set_protection(arena_.base(),
-                         static_cast<std::size_t>(next_fresh_page_) * arena_.page_size(),
+  if (pages_.used() > 0) {
+    (void)set_protection(arena_.base(), pages_.used() * arena_.page_size(),
                          PageProtection::kNone);
   }
   table_.clear();
@@ -875,7 +849,6 @@ void CacheManager::invalidate_all() {
   fill_cursor_ = Cursor{};
   fill_open_pages_.clear();
   filling_ = false;
-  next_fresh_page_ = 0;
 }
 
 }  // namespace srpc

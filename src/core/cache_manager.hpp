@@ -188,7 +188,7 @@ class CacheManager final : public FaultHandler {
 
   // The modified data set: every entry on a dirty page plus every pending
   // overlay. Ids are home identities; images stay valid until the next
-  // cache mutation.
+  // cache mutation. The page scan stops at the used bound.
   [[nodiscard]] std::vector<ModifiedObject> collect_modified() const;
 
   // One modified object with sub-page dirty information. `dirty` holds the
@@ -266,8 +266,8 @@ class CacheManager final : public FaultHandler {
 
   // --- session teardown -----------------------------------------------------
 
-  // Drops every cached datum and re-protects the arena (session-end
-  // invalidation, paper §3.4).
+  // Drops every cached datum and re-protects the used pages (session-end
+  // invalidation, paper §3.4). Costs O(pages used), not O(arena).
   void invalidate_all();
 
   // --- introspection ---------------------------------------------------------
@@ -283,9 +283,10 @@ class CacheManager final : public FaultHandler {
   [[nodiscard]] SessionId session() const noexcept { return session_; }
   [[nodiscard]] const DataAllocationTable& table() const noexcept { return table_; }
   [[nodiscard]] const PageArena& arena() const noexcept { return arena_; }
-  [[nodiscard]] PageState page_state(PageIndex page) const {
-    return pages_.info(page).state;
-  }
+  [[nodiscard]] PageState page_state(PageIndex page) const { return pages_.state(page); }
+  // Pages below this bound are the only ones a session has used since the
+  // last invalidate_all(); every page above it is kEmpty.
+  [[nodiscard]] std::size_t pages_used() const noexcept { return pages_.used(); }
   [[nodiscard]] bool page_has_twin(PageIndex page) const {
     return pages_.has_twin(page);
   }
@@ -302,16 +303,14 @@ class CacheManager final : public FaultHandler {
     PageIndex page = kInvalidPage;
   };
 
-  // Grabs `n` consecutive fresh pages; RESOURCE_EXHAUSTED when the arena is
-  // full. (The arena is session-lifetime; invalidate_all() recycles it.)
-  Result<PageIndex> grab_pages(std::uint32_t n);
-
   // Places `size` bytes for `origin` on a lazy chain (PROT_NONE pages).
   Result<AllocationEntry> place_lazy(const LongPointer& id, std::uint64_t size,
                                      std::uint32_t align);
 
   // Places `size` bytes on writable pages during a fill or for a resident
-  // allocation; `cursor` selects the chain.
+  // allocation; `cursor` selects the chain. Fresh pages come from the page
+  // table's used bound (PageTable::grab); the arena is session-lifetime and
+  // invalidate_all() recycles it.
   Result<AllocationEntry> place_on_chain(Cursor& cursor, PageKind kind,
                                          const LongPointer& id, std::uint64_t size,
                                          std::uint32_t align, SpaceId origin);
@@ -353,7 +352,7 @@ class CacheManager final : public FaultHandler {
   };
 
   PageArena arena_;
-  PageTable pages_;
+  PageTable pages_;  // owns the used-page bound: fresh pages, scans, reset
   DataAllocationTable table_;
   std::unordered_map<const AllocationEntry*, Overlay> overlays_;
 
@@ -366,7 +365,6 @@ class CacheManager final : public FaultHandler {
   bool filling_ = false;
   std::vector<PageIndex> fill_open_pages_;  // writable during the current fill
 
-  PageIndex next_fresh_page_ = 0;
   bool registered_ = false;
   SessionId session_ = kNoSession;
   CacheStats stats_;

@@ -24,7 +24,7 @@ std::string dump_allocation_table(const Runtime& rt) {
            rt.name().c_str(), cache.table().size());
   out += line("%8s %8s %8s %-10s %s\n", "page", "offset", "size", "state",
               "long pointer");
-  for (PageIndex page = 0; page < cache.arena().page_count(); ++page) {
+  for (PageIndex page = 0; page < cache.pages_used(); ++page) {
     const auto entries = cache.table().entries_on_page(page);
     for (const AllocationEntry* e : entries) {
       if (e->page != page) continue;  // multi-page entries print once
@@ -38,8 +38,8 @@ std::string dump_allocation_table(const Runtime& rt) {
 
 std::string dump_page_states(const Runtime& rt) {
   const CacheManager& cache = rt.cache();
-  std::size_t counts[4] = {0, 0, 0, 0};
-  for (PageIndex page = 0; page < cache.arena().page_count(); ++page) {
+  std::size_t counts[4] = {cache.arena().page_count() - cache.pages_used(), 0, 0, 0};
+  for (PageIndex page = 0; page < cache.pages_used(); ++page) {
     counts[static_cast<std::size_t>(cache.page_state(page))]++;
   }
   return line("pages of space %u: empty=%zu allocated=%zu clean=%zu dirty=%zu\n",

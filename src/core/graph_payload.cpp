@@ -9,9 +9,10 @@ namespace {
 
 // Pointer fields are packed into one u32: the low 2 bits are the tag, the
 // high 30 bits the payload (an intra-payload index, or a same-space address
-// delta scaled by the 8-byte heap alignment). 0 is null; tag kTagFull is
-// the escape to a full 16-byte long pointer. This compactness is
-// load-bearing for Figure 4's crossover (see EXPERIMENTS.md).
+// delta from the payload's base, scaled by the 8-byte heap alignment and
+// zigzag-coded so targets below the lowest object pack too). 0 is null; tag
+// kTagFull is the escape to a full 16-byte long pointer. This compactness
+// is load-bearing for Figure 4's crossover (see EXPERIMENTS.md).
 enum PointerTag : std::uint32_t {
   kTagNull = 0,
   kTagIntra = 1,
@@ -21,6 +22,14 @@ enum PointerTag : std::uint32_t {
 
 inline constexpr std::uint32_t kMaxPackedPayload = (1U << 30) - 1;
 inline constexpr std::uint32_t kDeltaScale = 8;
+
+// Zigzag: 0, -1, 1, -2, ... -> 0, 1, 2, 3, ...
+inline std::uint64_t zigzag(std::int64_t v) noexcept {
+  return (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63);
+}
+inline std::int64_t unzigzag(std::uint64_t z) noexcept {
+  return static_cast<std::int64_t>(z >> 1) ^ -static_cast<std::int64_t>(z & 1);
+}
 
 // Trailing canary: payloads are length-implicit (values are walked by
 // type), so a codec disagreement would silently desynchronise the stream;
@@ -50,11 +59,13 @@ class GraphPointerEncoder final : public PointerFieldCodec {
         enc.put_u32((it->second << 2) | kTagIntra);
         return Status::ok();
       }
-      const std::uint64_t delta = p.address - base_;
-      if (p.type == pointee && p.address >= base_ && delta % kDeltaScale == 0 &&
-          delta / kDeltaScale <= kMaxPackedPayload) {
-        enc.put_u32((static_cast<std::uint32_t>(delta / kDeltaScale) << 2) | kTagDelta);
-        return Status::ok();
+      const auto delta = static_cast<std::int64_t>(p.address - base_);
+      if (p.type == pointee && delta % kDeltaScale == 0) {
+        const std::uint64_t packed = zigzag(delta / kDeltaScale);
+        if (packed <= kMaxPackedPayload) {
+          enc.put_u32((static_cast<std::uint32_t>(packed) << 2) | kTagDelta);
+          return Status::ok();
+        }
       }
     }
     enc.put_u32(kTagFull);
@@ -105,7 +116,7 @@ class GraphPointerDecoder final : public PointerFieldCodec {
       }
       case kTagDelta: {
         const std::uint64_t addr =
-            base_ + static_cast<std::uint64_t>(payload) * kDeltaScale;
+            base_ + static_cast<std::uint64_t>(unzigzag(payload) * kDeltaScale);
         return sink_.swizzle(LongPointer{space_, addr, pointee}, pointee);
       }
       case kTagFull: {

@@ -19,7 +19,8 @@
 //                      into one u32 (low 2 bits tag, high 30 bits payload):
 //                      0          null
 //                      tag 1      intra-payload: payload = object index
-//                      tag 2      same-space: payload = (addr - base) / 8
+//                      tag 2      same-space: payload = zigzag((addr - base) / 8),
+//                                 signed, so targets below base pack too
 //                      tag 3      escape: a 16-byte long pointer follows
 //
 // The compact forms matter for fidelity, not just bytes: the proposed

@@ -2806,14 +2806,13 @@ Status Runtime::end_session(SessionId id) {
         // wound, or an older writer holds the object). The session lost;
         // the caller aborts it and retries under backoff.
         ++stats_.wb_conflicts;
-        telemetry_.count("concurrency.wb_conflicts",
-                         "session=" + std::to_string(id));
+        telemetry_.count("concurrency.wb_conflicts");
         telemetry_.flight().event(FlightEventKind::kWbConflict, vnow_ns(),
                                   p.home, "lost arbitration", 0,
                                   id);
-        SRPC_WARN << name_ << ": session " << id
-                  << " lost arbitration at home " << p.home << ": "
-                  << err.to_string();
+        SRPC_DEBUG << name_ << ": session " << id
+                   << " lost arbitration at home " << p.home << ": "
+                   << err.to_string();
       }
       if (failure.is_ok()) failure = err;
       return;
@@ -3016,8 +3015,7 @@ Status Runtime::end_session(SessionId id) {
     st.span = SpanRecorder::kNoSpan;
   }
   ++stats_.sessions_committed;
-  telemetry_.hist("session.commit_ns", "session=" + std::to_string(id))
-      .record(telemetry_.now_ns() - t_start);
+  telemetry_.hist("session.commit_ns").record(telemetry_.now_ns() - t_start);
   telemetry_.observe_slo("SESSION_COMMIT", telemetry_.now_ns() - t_start);
   if (multi_session_) {
     // Any arbitration state this session left in the local arbiter (it is
@@ -3047,7 +3045,7 @@ Status Runtime::abort_session() {
   ++stats_.sessions_aborted;
   telemetry_.flight().event(FlightEventKind::kSessionAbort, vnow_ns(),
                             kInvalidSpaceId, {}, 0, aborting);
-  SRPC_WARN << name_ << ": aborting session " << aborting;
+  SRPC_DEBUG << name_ << ": aborting session " << aborting;
   poll_failures();
 
   // Un-flushed extended_malloc/free batches die with the session —
@@ -3119,7 +3117,7 @@ Status Runtime::abort_session(SessionId id) {
   ++stats_.sessions_aborted;
   telemetry_.flight().event(FlightEventKind::kSessionAbort, vnow_ns(),
                             kInvalidSpaceId, {}, 0, id);
-  SRPC_WARN << name_ << ": aborting session " << id;
+  SRPC_DEBUG << name_ << ": aborting session " << id;
   st->status = SessionStatus::kAborted;
   // Un-flushed extended_malloc/free batches die with the session —
   // provisional identities never reached a home, so there is nothing to

@@ -175,9 +175,9 @@ class World {
   void run_concurrent(const std::vector<std::pair<AddressSpace*, GroundFn>>& jobs);
 
   // One JSON document with every space's metrics (Runtime::metrics_json),
-  // keyed by space name — session-labelled series (for example
-  // session.commit_ns) keep their labels, so per-session aggregates
-  // survive the merge.
+  // keyed by space name. No series carries a session label, so the
+  // registry stays the same size however many sessions run; per-session
+  // detail lives in spans and flight events.
   [[nodiscard]] std::string metrics_json();
 
   // One JSON health snapshot for the whole world: every space's

@@ -16,12 +16,21 @@ std::string_view to_string(PageState s) noexcept {
   return "?";
 }
 
+Result<PageIndex> PageTable::grab(std::uint32_t n, PageKind kind, SpaceId origin) {
+  const std::size_t first = pages_.size();
+  if (n > page_count_ - first) {
+    return resource_exhausted("cache arena full (" + std::to_string(page_count_) +
+                              " pages)");
+  }
+  pages_.resize(first + n, PageInfo{PageState::kAllocated, kind, false, 0, origin});
+  return static_cast<PageIndex>(first);
+}
+
 Status PageTable::transition(PageIndex page, PageState to) {
-  if (page >= pages_.size()) {
+  if (page >= page_count_) {
     return out_of_range("page " + std::to_string(page) + " outside table");
   }
-  PageInfo& info = pages_[page];
-  const PageState from = info.state;
+  const PageState from = state(page);
   const bool legal = (from == PageState::kEmpty && to == PageState::kAllocated) ||
                      (from == PageState::kAllocated && to == PageState::kClean) ||
                      (from == PageState::kAllocated && to == PageState::kDirty) ||
@@ -33,18 +42,37 @@ Status PageTable::transition(PageIndex page, PageState to) {
                                std::string(to_string(to)) + " on page " +
                                std::to_string(page));
   }
-  info.state = to;
-  if (info.kind == PageKind::kLazy &&
-      (to == PageState::kClean || to == PageState::kDirty)) {
-    info.sealed = true;
+  PageInfo& p = info(page);
+  p.state = to;
+  if (p.kind == PageKind::kLazy && (to == PageState::kClean || to == PageState::kDirty)) {
+    p.sealed = true;
   }
   return Status::ok();
+}
+
+std::vector<PageIndex> PageTable::revoke(SpaceId origin) {
+  std::vector<PageIndex> out;
+  for (std::size_t i = 0; i < pages_.size(); ++i) {
+    PageInfo& p = pages_[i];
+    if (p.origin != origin || p.kind != PageKind::kLazy) continue;
+    if (p.state != PageState::kClean && p.state != PageState::kDirty) continue;
+    p.state = PageState::kAllocated;
+    twins_.erase(static_cast<PageIndex>(i));
+    out.push_back(static_cast<PageIndex>(i));
+  }
+  return out;
 }
 
 std::vector<PageIndex> PageTable::pages_in_state(PageState s) const {
   std::vector<PageIndex> out;
   for (std::size_t i = 0; i < pages_.size(); ++i) {
     if (pages_[i].state == s) out.push_back(static_cast<PageIndex>(i));
+  }
+  // Everything above the bound is empty; no PageInfo to read there.
+  if (s == PageState::kEmpty) {
+    for (std::size_t i = pages_.size(); i < page_count_; ++i) {
+      out.push_back(static_cast<PageIndex>(i));
+    }
   }
   return out;
 }
@@ -55,7 +83,7 @@ void PageTable::snapshot_twin(PageIndex page, const std::uint8_t* bytes,
 }
 
 void PageTable::reset() {
-  for (auto& p : pages_) p = PageInfo{};
+  pages_.clear();  // keeps the reserved capacity
   twins_.clear();
 }
 

@@ -9,9 +9,15 @@
 // A page becomes *sealed* the moment it turns resident: once protection is
 // released, a first access to any further datum on it could no longer be
 // detected (paper §3.2), so no new locations may be allocated there.
+//
+// Pages are handed out from the bottom of the arena, so the table keeps
+// only the used prefix [0, used()): every page above the bound is kEmpty.
+// Scans, dumps and reset stop at the bound, so their cost follows the pages
+// a session touched, not the arena size.
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -41,17 +47,45 @@ struct PageInfo {
 
 class PageTable {
  public:
-  explicit PageTable(std::size_t page_count) : pages_(page_count) {}
+  // Reserves room for `page_count` pages without initialising it. The
+  // storage never reallocates, so PageInfo references stay valid.
+  explicit PageTable(std::size_t page_count) : page_count_(page_count) {
+    pages_.reserve(page_count);
+  }
 
-  [[nodiscard]] PageInfo& info(PageIndex page) { return pages_.at(page); }
-  [[nodiscard]] const PageInfo& info(PageIndex page) const { return pages_.at(page); }
-  [[nodiscard]] std::size_t page_count() const noexcept { return pages_.size(); }
+  // Mutable access brings `page` (and every page below it) into the used
+  // prefix; const access to a page above the bound reads as kEmpty. Both
+  // throw std::out_of_range past page_count().
+  [[nodiscard]] PageInfo& info(PageIndex page) {
+    check_range(page);
+    if (page >= pages_.size()) pages_.resize(static_cast<std::size_t>(page) + 1);
+    return pages_[page];
+  }
+  [[nodiscard]] const PageInfo& info(PageIndex page) const {
+    check_range(page);
+    return page < pages_.size() ? pages_[page] : kUntouched;
+  }
+  [[nodiscard]] PageState state(PageIndex page) const { return info(page).state; }
+  [[nodiscard]] std::size_t page_count() const noexcept { return page_count_; }
+  // The used bound: pages at or above it have never left kEmpty since the
+  // last reset.
+  [[nodiscard]] std::size_t used() const noexcept { return pages_.size(); }
+
+  // Hands out `n` consecutive fresh pages at the used bound, kAllocated
+  // with the given kind and origin; RESOURCE_EXHAUSTED when the arena is
+  // full.
+  Result<PageIndex> grab(std::uint32_t n, PageKind kind, SpaceId origin);
 
   // Validated state transition; the protection change itself is the cache
   // manager's job (it owns the arena).
   Status transition(PageIndex page, PageState to);
 
-  // All pages currently in the given state.
+  // Demotes every resident lazy page clustered to `origin` to kAllocated
+  // (lease revocation: the table entries survive, the bytes and twins do
+  // not) and returns those pages, ascending, for re-protection.
+  std::vector<PageIndex> revoke(SpaceId origin);
+
+  // All pages currently in the given state, ascending.
   [[nodiscard]] std::vector<PageIndex> pages_in_state(PageState s) const;
 
   // Twin slots: a copy of a page's bytes taken the instant it turned
@@ -63,17 +97,24 @@ class PageTable {
   [[nodiscard]] bool has_twin(PageIndex page) const {
     return twins_.contains(page);
   }
-  // Valid only when has_twin(page); pointer stable until drop/reset.
+  // Valid only when has_twin(page); pointer stable until revoke/reset.
   [[nodiscard]] const std::uint8_t* twin(PageIndex page) const {
     return twins_.at(page).data();
   }
-  void drop_twin(PageIndex page) { twins_.erase(page); }
 
-  // Resets every page to kEmpty/unsealed (session-end invalidation).
+  // Resets every page to kEmpty/unsealed and the used bound to 0
+  // (session-end invalidation).
   void reset();
 
  private:
-  std::vector<PageInfo> pages_;
+  static constexpr PageInfo kUntouched{};
+
+  void check_range(PageIndex page) const {
+    if (page >= page_count_) throw std::out_of_range("page outside table");
+  }
+
+  std::size_t page_count_;
+  std::vector<PageInfo> pages_;  // the used prefix; capacity page_count_
   std::unordered_map<PageIndex, std::vector<std::uint8_t>> twins_;
 };
 

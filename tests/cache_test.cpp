@@ -2,12 +2,20 @@
 // fills against a mock home, dirty tracking, overlays, invalidation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdio>
 #include <cstring>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "core/cache_manager.hpp"
+#include "core/debug.hpp"
 #include "core/graph_payload.hpp"
+#include "core/smart_rpc.hpp"
 #include "types/type_registry.hpp"
+#include "workload/list.hpp"
 
 namespace srpc {
 namespace {
@@ -423,6 +431,85 @@ TEST_F(CacheManagerTest, IncorporateCleanPayloadSkipsExistingData) {
   ASSERT_TRUE(cache->incorporate_clean_payload(reply.value()).is_ok());
   EXPECT_EQ(n->value, 777);
   EXPECT_EQ(cache->stats().objects_skipped, 1u);
+}
+
+// What one session's ground cache looks like just before commit: the
+// modified set (ids as list positions, so runs on different heaps compare)
+// and the page dump.
+struct ArenaRun {
+  std::vector<std::string> deltas;
+  std::size_t used = 0;
+  std::size_t counts[4] = {};  // empty, allocated, clean, dirty
+};
+
+ArenaRun run_list_session(std::size_t page_count) {
+  using workload::ListNode;
+  WorldOptions options;
+  options.cost = CostModel::zero();
+  options.cache.page_count = page_count;
+  World world(options);
+  auto& ground = world.create_space("ground");
+  auto& home = world.create_space("home");
+  workload::register_list_type(world).status().check();
+  ListNode* head = home.run([](Runtime& rt) {
+    return workload::build_list(rt, 600, [](std::uint32_t i) {
+             return static_cast<std::int64_t>(i);
+           }).value();
+  });
+  home.bind("list", [head](CallContext&) -> ListNode* { return head; }).check();
+
+  ArenaRun run;
+  ground.run([&](Runtime& rt) {
+    Session session(rt);
+    auto list = session.call<ListNode*>(home.id(), "list");
+    list.status().check();
+    std::map<std::uint64_t, std::size_t> position;  // home address -> index
+    std::size_t i = 0;
+    for (ListNode* n = list.value(); n != nullptr; n = n->next, ++i) {
+      position[rt.cache().unswizzle(n).value().address] = i;
+      if (i % 7 == 0) n->value += 1000;  // a write fault dirties its page
+    }
+    for (const CacheManager::ModifiedDatum& d : rt.cache().collect_modified_deltas()) {
+      std::int64_t value = 0;
+      std::memcpy(&value, d.image + offsetof(ListNode, value), sizeof value);
+      std::string line = std::to_string(position.at(d.id.address)) +
+                         " size=" + std::to_string(d.size) +
+                         " baseline=" + std::to_string(d.has_baseline) +
+                         " complete=" + std::to_string(d.complete) +
+                         " value=" + std::to_string(value);
+      for (const ByteRange& r : d.dirty) {
+        line += " [" + std::to_string(r.offset) + "+" + std::to_string(r.len) + "]";
+      }
+      run.deltas.push_back(line);
+    }
+    run.used = rt.cache().pages_used();
+    const std::string dump = dump_page_states(rt);
+    EXPECT_EQ(std::sscanf(dump.c_str(),
+                          "pages of space %*u: empty=%zu allocated=%zu clean=%zu dirty=%zu",
+                          &run.counts[0], &run.counts[1], &run.counts[2], &run.counts[3]),
+              4)
+        << dump;
+    session.end().check();
+  });
+  return run;
+}
+
+TEST(CacheArenaSize, ModifiedSetAndPageDumpDoNotDependOnTheArena) {
+  const ArenaRun small = run_list_session(256);
+  const ArenaRun large = run_list_session(65536);
+  // Every entry on a dirty page is listed; only the 86 written ones (nodes
+  // 0, 7, ..., 595) carry dirty ranges.
+  EXPECT_EQ(std::count_if(small.deltas.begin(), small.deltas.end(),
+                          [](const std::string& d) { return d.find(" [") != d.npos; }),
+            86);
+  EXPECT_EQ(small.deltas, large.deltas);
+  EXPECT_GT(small.used, 1u);
+  EXPECT_EQ(small.used, large.used);
+  EXPECT_EQ(small.counts[0], 256 - small.used);
+  EXPECT_EQ(large.counts[0], 65536 - large.used);
+  EXPECT_EQ(small.counts[1] + small.counts[2] + small.counts[3], small.used);
+  for (int s = 1; s < 4; ++s) EXPECT_EQ(small.counts[s], large.counts[s]) << s;
+  EXPECT_GT(small.counts[3], 0u);
 }
 
 }  // namespace

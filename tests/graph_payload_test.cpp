@@ -130,6 +130,42 @@ TEST_F(GraphPayloadTest, SameSpaceDeltaPointers) {
   EXPECT_EQ(sink.external[0], (LongPointer{5, 0x1000 + 64, node_}));
 }
 
+TEST_F(GraphPayloadTest, SameSpaceDeltaBelowBasePacksLikeAboveBase) {
+  // The datum outside the payload sits below its lowest object: the delta
+  // is negative and still packs into one u32.
+  Node n1{reinterpret_cast<Node*>(0x5555), 1};
+  auto encode = [&](std::uint64_t base, std::uint64_t target, ByteBuffer& wire) {
+    MapTranslator translator(5);
+    translator.put(0x5555, {5, target, node_});
+    const GraphObjectRef objects[] = {{base, node_, &n1}};
+    return encode_graph_payload(codec_, host_arch(), 5, objects, translator, wire);
+  };
+  ByteBuffer above, below;
+  ASSERT_TRUE(encode(0x1000, 0x1000 + 64, above).is_ok());
+  ASSERT_TRUE(encode(0x1000, 0x1000 - 64, below).is_ok());
+  EXPECT_EQ(below.size(), above.size());
+
+  CollectSink sink(layouts_);
+  ASSERT_TRUE(decode_graph_payload(codec_, host_arch(), below, sink).is_ok());
+  ASSERT_EQ(sink.external.size(), 1u);
+  EXPECT_EQ(sink.external[0], (LongPointer{5, 0x1000 - 64, node_}));
+
+  // The zigzag range ends at 2^29 eight-byte steps below base; one step
+  // further takes the 16-byte escape, and both still round-trip.
+  constexpr std::uint64_t kBase = 0x100000000000;
+  constexpr std::uint64_t kLowest = kBase - (std::uint64_t{1} << 29) * 8;
+  ByteBuffer edge, escaped;
+  ASSERT_TRUE(encode(kBase, kLowest, edge).is_ok());
+  ASSERT_TRUE(encode(kBase, kLowest - 8, escaped).is_ok());
+  EXPECT_EQ(edge.size(), above.size());
+  EXPECT_EQ(escaped.size(), above.size() + 16);
+  CollectSink edge_sink(layouts_), escaped_sink(layouts_);
+  ASSERT_TRUE(decode_graph_payload(codec_, host_arch(), edge, edge_sink).is_ok());
+  ASSERT_TRUE(decode_graph_payload(codec_, host_arch(), escaped, escaped_sink).is_ok());
+  EXPECT_EQ(edge_sink.external.at(0), (LongPointer{5, kLowest, node_}));
+  EXPECT_EQ(escaped_sink.external.at(0), (LongPointer{5, kLowest - 8, node_}));
+}
+
 TEST_F(GraphPayloadTest, ForeignSpacePointersUseFullForm) {
   Node n1{reinterpret_cast<Node*>(0x7777), 1};
   MapTranslator translator(5);

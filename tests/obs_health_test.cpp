@@ -27,6 +27,52 @@ bool contains(const std::string& hay, const std::string& needle) {
   return hay.find(needle) != std::string::npos;
 }
 
+// --- metric cardinality ------------------------------------------------------
+
+std::size_t series_count(World& world) {
+  std::size_t n = 0;
+  for (SpaceId id = 0; id < world.space_count(); ++id) {
+    n += world.space(id).run([](Runtime& rt) {
+      return rt.metrics().counters().size() + rt.metrics().gauges().size() +
+             rt.metrics().histograms().size();
+    });
+  }
+  return n;
+}
+
+TEST(MetricCardinalityTest, SeriesCountDoesNotGrowWithSessions) {
+  for (const bool multi : {false, true}) {
+    WorldOptions options;
+    options.cost = CostModel::zero();
+    options.multi_session = multi;
+    World world(options);
+    auto& home = world.create_space("home");
+    auto& ground = world.create_space("ground");
+    workload::register_list_type(world).status().check();
+    ListNode* head = home.run([](Runtime& rt) {
+      return workload::build_list(rt, 3, [](std::uint32_t i) {
+               return static_cast<std::int64_t>(i);
+             }).value();
+    });
+    home.bind("list", [head](CallContext&) -> ListNode* { return head; }).check();
+    auto sessions = [&](int n) {
+      ground.run([&](Runtime& rt) {
+        for (int i = 0; i < n; ++i) {
+          Session session(rt);
+          auto list = session.call<ListNode*>(home.id(), "list");
+          list.status().check();
+          list.value()->value += 1;
+          session.end().check();
+        }
+      });
+    };
+    sessions(10);
+    const std::size_t after_10 = series_count(world);
+    sessions(190);
+    EXPECT_EQ(series_count(world), after_10) << (multi ? "multi" : "single") << "-session";
+  }
+}
+
 // --- flight-recorder ring ---------------------------------------------------
 
 TEST(FlightRecorderTest, RingWrapsKeepingNewestOldestFirst) {

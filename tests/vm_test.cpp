@@ -3,6 +3,8 @@
 
 #include <atomic>
 #include <cstring>
+#include <stdexcept>
+#include <vector>
 
 #include "vm/fault_dispatcher.hpp"
 #include "vm/page_arena.hpp"
@@ -77,6 +79,79 @@ TEST(PageTable, ResetClearsEverything) {
   EXPECT_EQ(table.info(1).state, PageState::kEmpty);
   EXPECT_EQ(table.info(1).bump, 0u);
   EXPECT_EQ(table.pages_in_state(PageState::kAllocated).size(), 0u);
+}
+
+TEST(PageTable, ScanAndResetStopAtTheUsedBound) {
+  PageTable table(1u << 20);
+  for (PageIndex p = 0; p < 3; ++p) {
+    ASSERT_TRUE(table.transition(p, PageState::kAllocated).is_ok());
+    ASSERT_TRUE(table.transition(p, PageState::kDirty).is_ok());
+  }
+  EXPECT_EQ(table.pages_in_state(PageState::kDirty), (std::vector<PageIndex>{0, 1, 2}));
+  EXPECT_EQ(table.used(), 3u);
+
+  table.reset();
+  EXPECT_EQ(table.used(), 0u);
+  const PageTable& view = table;
+  for (PageIndex p = 0; p < view.page_count(); ++p) {
+    ASSERT_EQ(view.info(p).state, PageState::kEmpty) << "page " << p;
+  }
+  EXPECT_TRUE(table.pages_in_state(PageState::kDirty).empty());
+}
+
+TEST(PageTable, UntouchedPagesReadEmptyAndStayAboveTheBound) {
+  PageTable table(1u << 20);
+  const PageTable& view = table;
+  EXPECT_EQ(view.info(12345).state, PageState::kEmpty);
+  EXPECT_EQ(view.state((1u << 20) - 1), PageState::kEmpty);
+  EXPECT_FALSE(table.transition(500, PageState::kClean).is_ok());  // refused: no growth
+  EXPECT_EQ(table.used(), 0u);
+
+  EXPECT_EQ(table.transition(1u << 20, PageState::kAllocated).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_THROW((void)view.info(1u << 20), std::out_of_range);
+}
+
+TEST(PageTable, GrabHandsOutPagesAtTheBound) {
+  PageTable table(4);
+  ASSERT_TRUE(table.transition(0, PageState::kAllocated).is_ok());
+  PageInfo& first = table.info(0);
+
+  auto run = table.grab(2, PageKind::kAlloc, 7);
+  ASSERT_TRUE(run.is_ok());
+  EXPECT_EQ(run.value(), 1u);
+  EXPECT_EQ(table.used(), 3u);
+  EXPECT_EQ(table.info(2).state, PageState::kAllocated);
+  EXPECT_EQ(table.info(2).kind, PageKind::kAlloc);
+  EXPECT_EQ(table.info(2).origin, 7u);
+  ASSERT_TRUE(table.grab(1, PageKind::kLazy, 7).is_ok());
+  EXPECT_EQ(table.grab(1, PageKind::kLazy, 7).status().code(),
+            StatusCode::kResourceExhausted);
+
+  first.bump = 9;  // storage never moved under the reference
+  EXPECT_EQ(table.info(0).bump, 9u);
+}
+
+TEST(PageTable, RevokeDemotesResidentLazyPagesOfOneOrigin) {
+  PageTable table(8);
+  const std::uint8_t image[16] = {};
+  ASSERT_TRUE(table.grab(3, PageKind::kLazy, 1).is_ok());   // pages 0-2
+  ASSERT_TRUE(table.grab(1, PageKind::kLazy, 2).is_ok());   // page 3
+  ASSERT_TRUE(table.grab(1, PageKind::kAlloc, 1).is_ok());  // page 4
+  ASSERT_TRUE(table.transition(0, PageState::kClean).is_ok());
+  ASSERT_TRUE(table.transition(1, PageState::kClean).is_ok());
+  table.snapshot_twin(1, image, sizeof image);
+  ASSERT_TRUE(table.transition(1, PageState::kDirty).is_ok());
+  ASSERT_TRUE(table.transition(3, PageState::kClean).is_ok());
+  ASSERT_TRUE(table.transition(4, PageState::kDirty).is_ok());
+
+  EXPECT_EQ(table.revoke(1), (std::vector<PageIndex>{0, 1}));
+  EXPECT_EQ(table.state(0), PageState::kAllocated);
+  EXPECT_EQ(table.state(1), PageState::kAllocated);
+  EXPECT_FALSE(table.has_twin(1));
+  EXPECT_EQ(table.state(2), PageState::kAllocated);  // never resident
+  EXPECT_EQ(table.state(3), PageState::kClean);      // other origin
+  EXPECT_EQ(table.state(4), PageState::kDirty);      // alloc page
 }
 
 // A fault handler that fills the page with a marker and opens it.
