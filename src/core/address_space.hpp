@@ -32,8 +32,7 @@ class AddressSpace {
                HostTypeMap& host_types, Transport& transport, SimNetwork* sim,
                CacheOptions cache_options,
                std::function<std::vector<SpaceId>()> directory,
-               TimeoutConfig timeouts = {},
-               std::function<std::uint32_t(SpaceId)> peer_caps = {})
+               TimeoutConfig timeouts = {})
       : id_(id),
         name_(std::move(name)),
         arch_(&arch),
@@ -45,7 +44,6 @@ class AddressSpace {
         cache_options_(cache_options),
         directory_(std::move(directory)),
         timeouts_(timeouts),
-        peer_caps_(std::move(peer_caps)),
         runtime_(make_runtime()) {}
 
   ~AddressSpace() { shutdown(); }
@@ -66,7 +64,7 @@ class AddressSpace {
   // Retires the halted runtime (keeping it alive as a zombie so its heap
   // storage stays mapped) and builds a fresh Runtime with the same
   // identity. The caller re-applies per-runtime configuration — recovery
-  // log, capabilities, toggles — and then start()s the successor.
+  // log, arch flag, toggles — and then start()s the successor.
   // FAILED_PRECONDITION while the worker is still running.
   Status reincarnate();
 
@@ -108,8 +106,7 @@ class AddressSpace {
   std::unique_ptr<Runtime> make_runtime() {
     return std::make_unique<Runtime>(id_, name_, *arch_, *registry_, *layouts_,
                                      *host_types_, *transport_, sim_,
-                                     cache_options_, directory_, timeouts_,
-                                     peer_caps_);
+                                     cache_options_, directory_, timeouts_);
   }
 
   // Construction parameters, kept so reincarnate() can rebuild the runtime.
@@ -124,7 +121,6 @@ class AddressSpace {
   CacheOptions cache_options_;
   std::function<std::vector<SpaceId>()> directory_;
   TimeoutConfig timeouts_;
-  std::function<std::uint32_t(SpaceId)> peer_caps_;
 
   std::unique_ptr<Runtime> runtime_;
   // Dead incarnations, kept until the space itself dies: their heaps own

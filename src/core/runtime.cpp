@@ -24,8 +24,8 @@ namespace srpc {
 //   ALLOC_BATCH nalloc u32 | nalloc x {provisional u64, type u32}
 //               | nfree u32 | nfree x {addr u64}
 //   ALLOC_REPLY n u32 | n x {provisional u64, real u64}
-//   WRITE_BACK  modified-set            (acked empty)
-//   WB_PREPARE  epoch u64 | modified-set  (acked empty; staged, not applied)
+//   WB_PREPARE  epoch u64 | [manifest] | modified-set  (acked empty; staged,
+//               not applied; manifest = n u32 | n x addr u64, multi-session)
 //   WB_COMMIT   epoch u64               (acked empty; applies the stage)
 //   WB_ABORT    epoch u64               (acked empty; discards the stage)
 //   INVALIDATE  empty or aborted u32    (acked empty; empty = normal end)
@@ -43,8 +43,7 @@ Runtime::Runtime(SpaceId self, std::string name, const ArchModel& arch,
                  HostTypeMap& host_types, Transport& transport, SimNetwork* sim,
                  CacheOptions cache_options,
                  std::function<std::vector<SpaceId>()> directory,
-                 TimeoutConfig timeouts,
-                 std::function<std::uint32_t(SpaceId)> peer_caps)
+                 TimeoutConfig timeouts)
     : self_(self),
       name_(std::move(name)),
       arch_(arch),
@@ -54,7 +53,6 @@ Runtime::Runtime(SpaceId self, std::string name, const ArchModel& arch,
       host_types_(host_types),
       sim_(sim),
       directory_(std::move(directory)),
-      peer_caps_(std::move(peer_caps)),
       pointer_index_(registry, layouts, arch),
       endpoint_(self, transport, mailbox_),
       heap_(registry, layouts, arch, self),
@@ -100,8 +98,8 @@ void Runtime::elevate_payload(Message& msg) {
   // passes through untouched. Empty payloads have nothing to elevate.
   if (msg.shm_backed() || msg.payload.size() == 0) return;
   const std::uint64_t n = msg.payload.size();
-  const bool eligible = shm_payload_enabled_ && !msg.payload.borrowed() &&
-                        peer_caps_ && (peer_caps_(msg.to) & kCapShmPayload) != 0;
+  const bool eligible =
+      shm_payload_enabled_ && !msg.payload.borrowed() && uniform_arch();
   if (eligible) {
     std::vector<std::uint8_t> bytes = msg.payload.take_bytes();
     auto published = shm_arena_->publish(std::move(bytes));
@@ -382,22 +380,18 @@ Status Runtime::attach_modified_set(ByteBuffer& out, SpaceId dest,
                                     std::vector<ShippedRecord>* shipped) {
   SessionState& sst = cur_state();
   ++sst.ship_epoch;
-  const bool dest_takes_deltas =
-      modified_deltas_enabled_ && peer_caps_ &&
-      (peer_caps_(dest) & kCapModifiedDelta) != 0;
-  // A write-back toward a recovery-capable home doubles as that home's redo
-  // record: its WAL replay restores the pre-session heap, so the staged set
-  // must carry EVERY modified object homed there — including content the
-  // home already observed on an earlier hop. Re-applying identical bytes is
-  // idempotent; skipping them would leave the stage incomplete.
-  const bool self_contained_redo =
-      write_back && peer_caps_ && (peer_caps_(dest) & kCapIncarnation) != 0;
+  const bool use_deltas = modified_deltas_enabled_ && uniform_arch();
+  // In a recovery world a write-back doubles as the home's redo record: its
+  // WAL replay restores the pre-session heap, so the staged set must carry
+  // EVERY modified object homed there — including content the home already
+  // observed on an earlier hop. Re-applying identical bytes is idempotent;
+  // skipping them would leave the stage incomplete.
+  const bool self_contained_redo = write_back && recovery_ != nullptr;
 
-  if (!dest_takes_deltas) {
-    // Non-capable peer: the original page-granular protocol. Every object
-    // on a dirty page travels as a full image — no baseline diffing, no
-    // cross-hop suppression — so both sides agree on what a modified set
-    // means without the MODIFIED_DELTA capability.
+  if (!use_deltas) {
+    // Deltas off or a mixed-arch world: the original page-granular
+    // protocol. Every object on a dirty page travels as a full image — no
+    // baseline diffing, no cross-hop suppression.
     std::map<SpaceId, std::vector<GraphObjectRef>> groups;
     std::size_t emitted = 0;
     for (const auto& m : cache().collect_modified()) {
@@ -493,7 +487,7 @@ Status Runtime::attach_modified_set(ByteBuffer& out, SpaceId dest,
       continue;
     }
 
-    bool as_delta = dest_takes_deltas && d.has_baseline;
+    bool as_delta = use_deltas && d.has_baseline;
     if (as_delta) {
       // Raw ranges ship local images verbatim; swizzled local pointers are
       // meaningless elsewhere, so pointer-touching deltas take the graph
@@ -513,9 +507,9 @@ Status Runtime::attach_modified_set(ByteBuffer& out, SpaceId dest,
     }
     if (!as_delta && !d.complete) {
       // A partially received overlay cannot be composed into a full image.
-      // With world-uniform capability negotiation this only happens if
-      // deltas were toggled off mid-session; ship the delta regardless —
-      // every receiver in this codebase auto-detects the format.
+      // Deltas are world-uniform, so this only happens if they were toggled
+      // off mid-session; ship the delta regardless — every receiver
+      // auto-detects the format.
       SRPC_WARN << name_ << ": partial overlay for " << d.id.to_string()
                 << " forced into delta format";
       as_delta = true;
@@ -695,24 +689,37 @@ Status Runtime::apply_closures(ByteBuffer& in) {
 // Error plumbing
 // ---------------------------------------------------------------------------
 
-Status Runtime::send_error(SpaceId to, SessionId session, std::uint64_t seq,
-                           const Status& error) {
+Message Runtime::request(MessageType type, SpaceId to, SessionId session) {
   Message msg;
-  msg.type = MessageType::kError;
+  msg.type = type;
   msg.to = to;
   msg.session = session;
-  msg.seq = seq;
-  xdr::Encoder enc(msg.payload);
+  msg.seq = endpoint_.next_seq();
+  return msg;
+}
+
+Message Runtime::reply_to(const Message& req, MessageType type) {
+  Message reply;
+  reply.type = type;
+  reply.to = req.from;
+  reply.session = req.session;
+  reply.seq = req.seq;
+  return reply;
+}
+
+Status Runtime::send_error(const Message& req, const Status& error) {
+  Message reply = reply_to(req, MessageType::kError);
+  xdr::Encoder enc(reply.payload);
   enc.put_u32(static_cast<std::uint32_t>(error.code()));
   enc.put_string(error.message());
-  return endpoint_.send(std::move(msg));
+  return endpoint_.send(std::move(reply));
 }
 
 Status Runtime::decode_error(Message& msg) {
   xdr::Decoder dec(msg.payload);
   auto code = dec.get_u32();
   auto text = code ? dec.get_string() : Result<std::string>(code.status());
-  if (!code || !text) {
+  if (!code || !text || code.value() == 0) {  // an ERROR never carries OK
     return protocol_error("malformed error message");
   }
   return Status(static_cast<StatusCode>(code.value()),
@@ -857,56 +864,34 @@ Status Runtime::prefetch_many(std::span<const void* const> pointers,
 Result<std::vector<ByteBuffer>> Runtime::parallel_fetch(
     CacheManager& owner, std::vector<CacheManager::PrefetchGroup>& groups,
     std::uint64_t closure_budget, SessionId session) {
-  struct InFlight {
-    std::size_t group;
-    std::uint64_t seq;
-  };
-  std::vector<InFlight> inflight;
-  inflight.reserve(groups.size());
-  Status failure = Status::ok();
-  // Ship every frame before collecting anything: the homes serve their
+  // Every frame ships before any reply is collected: the homes serve their
   // FETCHes concurrently, so the wall-clock cost is the slowest single
-  // round trip instead of the sum.
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    Message msg;
-    msg.type = MessageType::kFetch;
-    msg.to = groups[g].home;
-    msg.session = session;
-    msg.seq = endpoint_.next_seq();
-    encode_fetch_frame(msg.payload, groups[g].pointers, closure_budget);
-    auto issued =
-        issue_guarded(std::move(msg), MessageType::kFetchReply,
-                      /*idempotent=*/true);
-    if (!issued) {
-      if (failure.is_ok()) failure = issued.status();
-      continue;
-    }
-    inflight.push_back({g, issued.value()});
-  }
-  // Collect EVERY in-flight frame, even once a failure is recorded — no
-  // slot may leak. Restricted await (nullptr dispatcher) like the fault
-  // path: the owning cache is mid-fill and must not be re-entered.
+  // round trip instead of the sum. Restricted await (nullptr dispatcher)
+  // like the fault path: the owning cache is mid-fill and must not be
+  // re-entered.
   std::vector<ByteBuffer> replies(groups.size());
-  for (const InFlight& f : inflight) {
-    auto reply = collect_guarded(f.seq, nullptr);
-    if (!reply) {
-      if (failure.is_ok()) failure = reply.status();
-      continue;
-    }
-    if (reply.value().type == MessageType::kError) {
-      Status err = decode_error(reply.value());
-      if (failure.is_ok() && !err.is_ok()) failure = err;
-      continue;
-    }
-    replies[f.group] = std::move(reply.value().payload);
-    owner.renew_lease(groups[f.group].home, vnow_ns());
-    if (telemetry_.tracing()) {
-      telemetry_.annotate("lease renewed: source " +
-                          std::to_string(groups[f.group].home));
-    }
-  }
-  if (!failure.is_ok()) return failure;
+  Status fetched = fan_out(
+      groups.size(), MessageType::kFetchReply, /*parallel=*/true, nullptr,
+      [&](std::size_t g) {
+        Message msg = request(MessageType::kFetch, groups[g].home, session);
+        encode_fetch_frame(msg.payload, groups[g].pointers, closure_budget);
+        return msg;
+      },
+      [&](std::size_t g, Result<Message> reply) {
+        if (!reply) return reply.status();
+        replies[g] = std::move(reply.value().payload);
+        renew_lease(owner, groups[g].home);
+        return Status::ok();
+      });
+  if (!fetched.is_ok()) return fetched;
   return replies;
+}
+
+void Runtime::renew_lease(CacheManager& cache, SpaceId source) {
+  cache.renew_lease(source, vnow_ns());
+  if (telemetry_.tracing()) {
+    telemetry_.annotate("lease renewed: source " + std::to_string(source));
+  }
 }
 
 Status Runtime::flush_alloc_batches() {
@@ -922,11 +907,7 @@ Status Runtime::flush_alloc_batches() {
   }
   for (const SpaceId home : allocator->pending_homes()) {
     RemoteAllocator::Batch batch = allocator->take_batch(home);
-    Message msg;
-    msg.type = MessageType::kAllocBatch;
-    msg.to = home;
-    msg.session = session;
-    msg.seq = endpoint_.next_seq();
+    Message msg = request(MessageType::kAllocBatch, home, session);
     xdr::Encoder enc(msg.payload);
     enc.put_u32(static_cast<std::uint32_t>(batch.allocs.size()));
     for (const auto& a : batch.allocs) {
@@ -942,9 +923,6 @@ Status Runtime::flush_alloc_batches() {
     auto reply = guarded_roundtrip(std::move(msg), MessageType::kAllocReply,
                                    nullptr, /*idempotent=*/false);
     if (!reply) return reply.status();
-    if (reply.value().type == MessageType::kError) {
-      return decode_error(reply.value());
-    }
     xdr::Decoder dec(reply.value().payload);
     auto n = dec.get_u32();
     if (!n) return n.status();
@@ -982,7 +960,6 @@ std::string Runtime::metrics_json() {
   set("runtime.calls_served", stats_.calls_served);
   set("runtime.fetches_served", stats_.fetches_served);
   set("runtime.derefs_served", stats_.derefs_served);
-  set("runtime.writebacks_served", stats_.writebacks_served);
   set("runtime.alloc_batches_served", stats_.alloc_batches_served);
   set("runtime.stale_replies_absorbed", stats_.stale_replies_absorbed);
   set("runtime.duplicate_requests_absorbed", stats_.duplicate_requests_absorbed);
@@ -1096,86 +1073,10 @@ std::string Runtime::health_json() {
   return out;
 }
 
-Result<Message> Runtime::guarded_roundtrip(Message msg, MessageType reply_type,
-                                           const RpcEndpoint::Dispatcher& serve,
-                                           bool idempotent) {
-  const SpaceId peer = msg.to;
-  const MessageType kind = msg.type;
-  const SessionId msg_session = msg.session;
-  if (multi_session_ && msg_session != kNoSession && peer != self_) {
-    // Remember who this session talked to from here: the session-end
-    // invalidation multicasts to exactly this set (and each member forwards
-    // to its own), instead of the whole world directory.
-    if (SessionState* st = sessions_.find(msg_session)) st->touched.insert(peer);
-  }
-  if (detector_.is_dead(peer)) {
-    ++stats_.failfast_rejections;
-    telemetry_.count("rpc.failfast_rejections",
-                     std::string("peer=") + std::to_string(peer));
-    return space_dead("space " + std::to_string(peer) +
-                      " is dead (failure detector)");
-  }
-
-  // Every request roundtrip this runtime initiates passes through here, so
-  // this one site produces the client half of the span tree and the
-  // per-kind latency histograms.
-  const std::uint64_t start = telemetry_.now_ns();
-  SpanRecorder::Handle span = SpanRecorder::kNoSpan;
-  if (telemetry_.tracing()) {
-    span = telemetry_.tracer().start_local(
-        std::string(to_string(kind)) + " -> " + std::to_string(peer),
-        "rpc.client", start);
-    // The context crosses the wire only toward peers that negotiated the
-    // extension; retransmits reuse this message verbatim (same span), so a
-    // duplicated serve lands as a sibling, never a forked tree.
-    if (peer_caps_ && (peer_caps_(peer) & kCapTraceContext) != 0) {
-      msg.trace = telemetry_.tracer().context_of(span);
-    }
-  }
-
-  auto reply = endpoint_.roundtrip(std::move(msg), reply_type, serve,
-                                   timeouts_, idempotent);
-
-  const std::uint64_t end = telemetry_.now_ns();
-  const std::string kind_label = std::string("kind=") + std::string(to_string(kind));
-  telemetry_.hist("rpc.roundtrip_ns", kind_label).record(end - start);
-  telemetry_.observe_slo(to_string(kind), end - start);
-  telemetry_.count("rpc.requests", kind_label);
-  telemetry_.count("rpc.requests", std::string("peer=") + std::to_string(peer));
-  if (span != SpanRecorder::kNoSpan) {
-    telemetry_.tracer().finish(span, end, reply.is_ok());
-  }
-
-  if (reply) {
-    detector_.note_contact(peer, vnow_ns());
-    if (multi_session_ && msg_session != kNoSession) {
-      if (SessionState* st = sessions_.find(msg_session);
-          st != nullptr && st->cache) {
-        st->cache->touch_lease(peer, vnow_ns());
-      }
-    } else {
-      cache_.touch_lease(peer, vnow_ns());
-    }
-    return reply;
-  }
-  telemetry_.count("rpc.failures", kind_label);
-  const StatusCode code = reply.status().code();
-  if ((code == StatusCode::kDeadlineExceeded ||
-       code == StatusCode::kUnavailable) &&
-      !probing_) {
-    probe_peer(peer);
-  }
-  return reply;
-}
-
 void Runtime::probe_peer(SpaceId peer) {
   probing_ = true;
   ++stats_.probes_sent;
-  Message ping;
-  ping.type = MessageType::kPing;
-  ping.to = peer;
-  ping.session = kNoSession;
-  ping.seq = endpoint_.next_seq();
+  Message ping = request(MessageType::kPing, peer, kNoSession);
   // One short attempt: the surrounding request already burned its deadline,
   // the probe only asks "is anyone there at all".
   TimeoutConfig cfg = timeouts_;
@@ -1208,12 +1109,15 @@ void Runtime::probe_peer(SpaceId peer) {
 
 Result<std::uint64_t> Runtime::issue_guarded(
     Message msg, MessageType reply_type, bool idempotent,
-    std::shared_ptr<Promise<Message>> promise) {
+    std::shared_ptr<Promise<Message>> promise, bool nested) {
   const SpaceId peer = msg.to;
   const MessageType kind = msg.type;
   const SessionId msg_session = msg.session;
   const std::uint64_t seq = msg.seq;
   if (multi_session_ && msg_session != kNoSession && peer != self_) {
+    // Remember who this session talked to from here: the session-end
+    // invalidation multicasts to exactly this set (and each member forwards
+    // to its own), instead of the whole world directory.
     if (SessionState* st = sessions_.find(msg_session)) st->touched.insert(peer);
   }
   if (detector_.is_dead(peer)) {
@@ -1224,32 +1128,33 @@ Result<std::uint64_t> Runtime::issue_guarded(
                       " is dead (failure detector)");
   }
 
+  // Every request this runtime initiates passes through here, so this one
+  // site produces the client half of the span tree and the per-kind
+  // latency histograms.
   const std::uint64_t start = telemetry_.now_ns();
   SpanRecorder::Handle span = SpanRecorder::kNoSpan;
   if (telemetry_.tracing()) {
-    // Detached: pipelined client spans are concurrent siblings under the
-    // issuing session (the stack top at issue time), and finish whenever
-    // their reply lands — pushing them would corrupt the LIFO stack once
-    // replies complete out of order.
-    span = telemetry_.tracer().start_detached(
-        std::string(to_string(kind)) + " -> " + std::to_string(peer),
-        "rpc.client", start);
-    if (peer_caps_ && (peer_caps_(peer) & kCapTraceContext) != 0) {
-      msg.trace = telemetry_.tracer().context_of(span);
-    }
+    // Pipelined and fan-out spans are detached: concurrent siblings that
+    // finish whenever their reply lands. Pushing them would corrupt the
+    // LIFO stack once replies complete out of order.
+    SpanRecorder& tracer = telemetry_.tracer();
+    std::string name =
+        std::string(to_string(kind)) + " -> " + std::to_string(peer);
+    span = nested ? tracer.start_local(std::move(name), "rpc.client", start)
+                  : tracer.start_detached(std::move(name), "rpc.client", start);
+    // Retransmits reuse this message verbatim (same span), so a duplicated
+    // serve lands as a sibling, never a forked tree.
+    msg.trace = tracer.context_of(span);
   }
   const std::string kind_label = std::string("kind=") + std::string(to_string(kind));
 
-  RpcEndpoint::IssueOptions opts;
-  opts.cfg = timeouts_;
-  opts.idempotent = idempotent;
-  opts.detached = promise != nullptr;
   // Runs inside whichever pump settles the slot — possibly while another
   // request is being collected, possibly on the SIGSEGV fetch path. Light
   // by contract: telemetry, lease touch, promise fulfilment; probes are
-  // deferred to drain_probes().
-  opts.on_complete = [this, peer, span, start, kind, kind_label, msg_session,
-                      promise](Result<Message>& reply) {
+  // deferred to drain_probes(). Any reply, ERROR included, is contact with
+  // a live peer.
+  auto settle = [this, peer, span, start, kind, kind_label, msg_session,
+                 promise](Result<Message>& reply) {
     const std::uint64_t end = telemetry_.now_ns();
     telemetry_.hist("rpc.roundtrip_ns", kind_label).record(end - start);
     telemetry_.observe_slo(to_string(kind), end - start);
@@ -1276,8 +1181,19 @@ Result<std::uint64_t> Runtime::issue_guarded(
         pending_probe_peers_.push_back(peer);
       }
     }
-    if (promise) promise->set_result(std::move(reply));
+    if (!promise) return;
+    if (reply.is_ok() && reply.value().type == MessageType::kError) {
+      promise->set_error(decode_error(reply.value()));
+    } else {
+      promise->set_result(std::move(reply));
+    }
   };
+
+  RpcEndpoint::IssueOptions opts;
+  opts.cfg = timeouts_;
+  opts.idempotent = idempotent;
+  opts.detached = promise != nullptr;
+  opts.on_complete = settle;
   if (span != SpanRecorder::kNoSpan) {
     opts.on_retransmit = [this, span, reply_type, seq](std::uint32_t attempt,
                                                        std::uint32_t attempts) {
@@ -1293,13 +1209,11 @@ Result<std::uint64_t> Runtime::issue_guarded(
   auto issued = endpoint_.issue(std::move(msg), reply_type, std::move(opts));
   if (!issued) {
     // The request never left (transport refusal or seq collision): settle
-    // the telemetry that on_complete would have produced.
-    const std::uint64_t end = telemetry_.now_ns();
-    telemetry_.hist("rpc.roundtrip_ns", kind_label).record(end - start);
-    telemetry_.count("rpc.requests", kind_label);
-    telemetry_.count("rpc.failures", kind_label);
-    if (span != SpanRecorder::kNoSpan) telemetry_.tracer().finish(span, end, false);
-    return issued.status();
+    // it like a failed reply, and probe the peer now — we are on a normal
+    // stack, not inside a pump.
+    Result<Message> refused(issued.status());
+    settle(refused);
+    drain_probes();
   }
   return issued;
 }
@@ -1308,7 +1222,79 @@ Result<Message> Runtime::collect_guarded(std::uint64_t seq,
                                          const RpcEndpoint::Dispatcher& serve) {
   auto reply = endpoint_.collect(seq, serve);
   drain_probes();
+  if (reply && reply.value().type == MessageType::kError) {
+    return decode_error(reply.value());
+  }
   return reply;
+}
+
+Result<Message> Runtime::guarded_roundtrip(Message msg, MessageType reply_type,
+                                           const RpcEndpoint::Dispatcher& serve,
+                                           bool idempotent) {
+  auto seq = issue_guarded(std::move(msg), reply_type, idempotent, nullptr,
+                           /*nested=*/true);
+  if (!seq) return seq.status();
+  return collect_guarded(seq.value(), serve);
+}
+
+Status Runtime::fan_out(std::size_t n, MessageType reply_type, bool parallel,
+                        const RpcEndpoint::Dispatcher& serve,
+                        const FrameMaker& make, const FrameSettler& settle) {
+  Status failure = Status::ok();
+  auto note = [&failure](Status s) {
+    if (failure.is_ok()) failure = std::move(s);
+  };
+  std::vector<std::pair<std::size_t, std::uint64_t>> inflight;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!parallel && !failure.is_ok()) break;
+    auto issued = issue_guarded(make(i), reply_type, /*idempotent=*/true);
+    if (!issued) {
+      note(settle(i, issued.status()));
+    } else if (parallel) {
+      inflight.emplace_back(i, issued.value());
+    } else {
+      note(settle(i, collect_guarded(issued.value(), serve)));
+    }
+  }
+  for (const auto& [i, seq] : inflight) {
+    note(settle(i, collect_guarded(seq, serve)));
+  }
+  return failure;
+}
+
+Status Runtime::invalidate_peers(SessionId session,
+                                 const std::vector<SpaceId>& peers,
+                                 bool aborted, bool parallel,
+                                 const RpcEndpoint::Dispatcher& serve,
+                                 bool best_effort) {
+  std::vector<SpaceId> live;
+  for (const SpaceId peer : peers) {
+    if (peer != self_ && !detector_.is_dead(peer)) live.push_back(peer);
+  }
+  Status worst = Status::ok();
+  Status first = fan_out(
+      live.size(), MessageType::kInvalidateAck, parallel, serve,
+      [&](std::size_t i) {
+        Message msg = request(MessageType::kInvalidate, live[i], session);
+        // aborted=1: homes discard any staged write-back and reclaim the
+        // extended_malloc storage this session created there; 0 promotes it.
+        xdr::Encoder enc(msg.payload);
+        enc.put_u32(aborted ? 1u : 0u);
+        return msg;
+      },
+      [&](std::size_t i, Result<Message> ack) {
+        // SPACE_DEAD here is the failfast of a peer declared dead mid-sweep.
+        if (ack || ack.status().code() == StatusCode::kSpaceDead) {
+          return Status::ok();
+        }
+        if (!best_effort) return ack.status();
+        SRPC_WARN << name_ << ": invalidate of space " << live[i]
+                  << " for session " << session
+                  << " failed: " << ack.status().to_string();
+        worst = ack.status();
+        return Status::ok();
+      });
+  return best_effort ? worst : first;
 }
 
 Status Runtime::pump_guarded(std::chrono::steady_clock::time_point deadline) {
@@ -1439,11 +1425,9 @@ void Runtime::set_recovery(RecoveryLog* log, std::uint32_t incarnation) {
                << "begin_session() will refuse until the space is retired";
   }
   endpoint_.set_stamp([this](Message& msg) {
-    if (peer_caps_ && (peer_caps_(msg.to) & kCapIncarnation) != 0) {
-      msg.incarnation = incarnation_;
-      const auto it = peer_incarnations_.find(msg.to);
-      msg.to_incarnation = it != peer_incarnations_.end() ? it->second : 0;
-    }
+    msg.incarnation = incarnation_;
+    const auto it = peer_incarnations_.find(msg.to);
+    msg.to_incarnation = it != peer_incarnations_.end() ? it->second : 0;
   });
   endpoint_.set_fence([this](const Message& msg) { return fence_stale(msg); });
 }
@@ -1656,62 +1640,61 @@ void Runtime::on_peer_rejoin(SpaceId peer, std::uint32_t incarnation,
 Status Runtime::serve_rejoin(Message msg) {
   xdr::Decoder dec(msg.payload);
   auto inc = dec.get_u32();
-  if (!inc) return send_error(msg.from, msg.session, msg.seq, inc.status());
+  if (!inc) return send_error(msg, inc.status());
   auto n = dec.get_u32();
-  if (!n) return send_error(msg.from, msg.session, msg.seq, n.status());
+  if (!n) return send_error(msg, n.status());
   std::vector<RecoveryDecision> decisions;
   decisions.reserve(n.value());
   for (std::uint32_t i = 0; i < n.value(); ++i) {
     auto session = dec.get_u64();
-    if (!session) return send_error(msg.from, msg.session, msg.seq, session.status());
+    if (!session) return send_error(msg, session.status());
     auto epoch = dec.get_u64();
-    if (!epoch) return send_error(msg.from, msg.session, msg.seq, epoch.status());
+    if (!epoch) return send_error(msg, epoch.status());
     auto committed = dec.get_u32();
     if (!committed) {
-      return send_error(msg.from, msg.session, msg.seq, committed.status());
+      return send_error(msg, committed.status());
     }
     decisions.push_back(RecoveryDecision{session.value(), epoch.value(),
                                          committed.value() != 0});
   }
   on_peer_rejoin(msg.from, inc.value(), decisions);
-  Message reply;
-  reply.type = MessageType::kRejoinAck;
-  reply.to = msg.from;
-  reply.session = msg.session;
-  reply.seq = msg.seq;
-  return endpoint_.send(std::move(reply));
+  return endpoint_.send(reply_to(msg, MessageType::kRejoinAck));
 }
 
 Status Runtime::announce_rejoin() {
   if (recovery_ == nullptr || incarnation_ == 0) return Status::ok();
   const std::vector<RecoveryDecision> decisions = recovery_->decisions();
-  Status worst = Status::ok();
+  std::vector<SpaceId> peers;
   for (const SpaceId peer : directory_()) {
-    if (peer == self_) continue;
-    ++stats_.rejoins_sent;
-    Message msg;
-    msg.type = MessageType::kRejoin;
-    msg.to = peer;
-    msg.session = kNoSession;
-    msg.seq = endpoint_.next_seq();
-    xdr::Encoder enc(msg.payload);
-    enc.put_u32(incarnation_);
-    enc.put_u32(static_cast<std::uint32_t>(decisions.size()));
-    for (const RecoveryDecision& d : decisions) {
-      enc.put_u64(d.session);
-      enc.put_u64(d.epoch);
-      enc.put_u32(d.committed ? 1u : 0u);
-    }
-    // Idempotent: on_peer_rejoin dedups by {peer, incarnation}, so a
-    // retransmitted announcement only re-acks.
-    auto ack = guarded_roundtrip(std::move(msg), MessageType::kRejoinAck,
-                                 full_dispatcher_, /*idempotent=*/true);
-    if (!ack) {
-      SRPC_WARN << name_ << ": rejoin announcement to space " << peer
-                << " failed: " << ack.status().to_string();
-      if (worst.is_ok()) worst = ack.status();
-    }
+    if (peer != self_) peers.push_back(peer);
   }
+  // Idempotent: on_peer_rejoin dedups by {peer, incarnation}, so a
+  // retransmitted announcement only re-acks. Best-effort per peer.
+  Status worst = Status::ok();
+  (void)fan_out(
+      peers.size(), MessageType::kRejoinAck, /*parallel=*/false,
+      full_dispatcher_,
+      [&](std::size_t i) {
+        ++stats_.rejoins_sent;
+        Message msg = request(MessageType::kRejoin, peers[i], kNoSession);
+        xdr::Encoder enc(msg.payload);
+        enc.put_u32(incarnation_);
+        enc.put_u32(static_cast<std::uint32_t>(decisions.size()));
+        for (const RecoveryDecision& d : decisions) {
+          enc.put_u64(d.session);
+          enc.put_u64(d.epoch);
+          enc.put_u32(d.committed ? 1u : 0u);
+        }
+        return msg;
+      },
+      [&](std::size_t i, Result<Message> ack) {
+        if (!ack) {
+          SRPC_WARN << name_ << ": rejoin announcement to space " << peers[i]
+                    << " failed: " << ack.status().to_string();
+          if (worst.is_ok()) worst = ack.status();
+        }
+        return Status::ok();
+      });
   return worst;
 }
 
@@ -1867,11 +1850,7 @@ Result<ByteBuffer> Runtime::fetch(SpaceId home, std::span<const LongPointer> poi
   // A session-tagged cache pins its own session; the default cache passes
   // kNoSession and the fetch rides whatever session scope is current.
   const SessionId sid = session != kNoSession ? session : current_session();
-  Message msg;
-  msg.type = MessageType::kFetch;
-  msg.to = home;
-  msg.session = sid;
-  msg.seq = endpoint_.next_seq();
+  Message msg = request(MessageType::kFetch, home, sid);
   encode_fetch_frame(msg.payload, pointers, closure_budget);
   // Restricted await: we may be inside the SIGSEGV handler, and with a
   // single active thread nothing but this reply can legitimately arrive.
@@ -1881,15 +1860,9 @@ Result<ByteBuffer> Runtime::fetch(SpaceId home, std::span<const LongPointer> poi
   auto reply = guarded_roundtrip(std::move(msg), MessageType::kFetchReply,
                                  nullptr, /*idempotent=*/true);
   if (!reply) return reply.status();
-  if (reply.value().type == MessageType::kError) {
-    return decode_error(reply.value());
-  }
   // We now hold this source's bytes: start (or refresh) its lease on the
   // cache that issued the fetch.
-  cache_for(sid).renew_lease(home, vnow_ns());
-  if (telemetry_.tracing()) {
-    telemetry_.annotate("lease renewed: source " + std::to_string(home));
-  }
+  renew_lease(cache_for(sid), home);
   return std::move(reply.value().payload);
 }
 
@@ -1898,20 +1871,13 @@ void Runtime::charge_fault() {
 }
 
 Result<ByteBuffer> Runtime::deref_remote(const LongPointer& pointer) {
-  Message msg;
-  msg.type = MessageType::kDeref;
-  msg.to = pointer.space;
-  msg.session = current_session();
-  msg.seq = endpoint_.next_seq();
+  Message msg = request(MessageType::kDeref, pointer.space, current_session());
   xdr::Encoder enc(msg.payload);
   encode_long_pointer(enc, pointer);
   // A dereference is a read: safe to retransmit.
   auto reply = guarded_roundtrip(std::move(msg), MessageType::kDerefReply,
                                  full_dispatcher_, /*idempotent=*/true);
   if (!reply) return reply.status();
-  if (reply.value().type == MessageType::kError) {
-    return decode_error(reply.value());
-  }
   return std::move(reply.value().payload);
 }
 
@@ -1919,9 +1885,10 @@ Result<ByteBuffer> Runtime::deref_remote(const LongPointer& pointer) {
 // Calls
 // ---------------------------------------------------------------------------
 
-Result<ByteBuffer> Runtime::call_raw(SpaceId target, const std::string& proc,
-                                     ByteBuffer args,
-                                     std::span<const std::uint64_t> pointer_roots) {
+Result<Message> Runtime::build_call(SpaceId target, const std::string& proc,
+                                    const ByteBuffer& args,
+                                    std::span<const std::uint64_t> pointer_roots,
+                                    std::vector<ShippedRecord>& shipped) {
   if (target == self_) {
     return invalid_argument("call to own address space");
   }
@@ -1933,33 +1900,23 @@ Result<ByteBuffer> Runtime::call_raw(SpaceId target, const std::string& proc,
   // attach the travelling modified data set and the arguments' closure.
   SRPC_RETURN_IF_ERROR(flush_alloc_batches());
 
-  Message msg;
-  msg.type = MessageType::kCall;
-  msg.to = target;
-  msg.session = current_session();
-  msg.seq = endpoint_.next_seq();
+  Message msg = request(MessageType::kCall, target, current_session());
   xdr::Encoder enc(msg.payload);
   enc.put_string(proc);
-  std::vector<ShippedRecord> shipped;
   SRPC_RETURN_IF_ERROR(attach_modified_set(msg.payload, target,
                                            /*write_back=*/false,
                                            /*encoded=*/nullptr, &shipped));
   SRPC_RETURN_IF_ERROR(attach_closures(msg.payload, pointer_roots));
   msg.payload.append(args.view());
-
   ++stats_.calls_sent;
-  // Full re-entrant service while blocked: nested calls back into this
-  // space, fetches against our heap, etc. A CALL executes arbitrary user
-  // code, so it is never retransmitted — on a deadline the caller aborts
-  // the session instead (at-most-once execution; the receiver additionally
-  // absorbs duplicated deliveries by request id).
-  auto reply = guarded_roundtrip(std::move(msg), MessageType::kReturn,
-                                 full_dispatcher_, /*idempotent=*/false);
+  return msg;
+}
+
+Result<ByteBuffer> Runtime::finish_call(SpaceId target,
+                                        const std::vector<ShippedRecord>& shipped,
+                                        Result<Message> reply) {
   if (!reply) return reply.status();
-  if (reply.value().type == MessageType::kError) {
-    return decode_error(reply.value());
-  }
-  // The callee saw (and now holds) everything we shipped.
+  // The callee saw (and now holds) everything the call shipped.
   commit_shipped(target, shipped);
   ByteBuffer payload = std::move(reply.value().payload);
   SRPC_RETURN_IF_ERROR(apply_modified_set(payload, target));
@@ -1968,39 +1925,36 @@ Result<ByteBuffer> Runtime::call_raw(SpaceId target, const std::string& proc,
   return payload;
 }
 
+Result<ByteBuffer> Runtime::call_raw(SpaceId target, const std::string& proc,
+                                     ByteBuffer args,
+                                     std::span<const std::uint64_t> pointer_roots) {
+  std::vector<ShippedRecord> shipped;
+  auto msg = build_call(target, proc, args, pointer_roots, shipped);
+  if (!msg) return msg.status();
+  // Full re-entrant service while blocked: nested calls back into this
+  // space, fetches against our heap, etc. A CALL executes arbitrary user
+  // code, so it is never retransmitted — on a deadline the caller aborts
+  // the session instead (at-most-once execution; the receiver additionally
+  // absorbs duplicated deliveries by request id).
+  return finish_call(target, shipped,
+                     guarded_roundtrip(std::move(msg).value(),
+                                       MessageType::kReturn, full_dispatcher_,
+                                       /*idempotent=*/false));
+}
+
 Result<Runtime::RawCallFuture> Runtime::call_async(
     SpaceId target, const std::string& proc, ByteBuffer args,
     std::span<const std::uint64_t> pointer_roots) {
-  if (target == self_) {
-    return invalid_argument("call to own address space");
-  }
-  // Same preamble as call_raw: safe point, then flush batched memory ops
-  // before the modified set and closures are packed. Each async call ships
-  // the modified set as of ITS issue point.
-  poll_failures();
-  SRPC_RETURN_IF_ERROR(flush_alloc_batches());
-
-  Message msg;
-  msg.type = MessageType::kCall;
-  msg.to = target;
-  msg.session = current_session();
-  msg.seq = endpoint_.next_seq();
-  const std::uint64_t seq = msg.seq;
-  xdr::Encoder enc(msg.payload);
-  enc.put_string(proc);
+  // Each async call ships the modified set as of ITS issue point.
   std::vector<ShippedRecord> shipped;
-  SRPC_RETURN_IF_ERROR(attach_modified_set(msg.payload, target,
-                                           /*write_back=*/false,
-                                           /*encoded=*/nullptr, &shipped));
-  SRPC_RETURN_IF_ERROR(attach_closures(msg.payload, pointer_roots));
-  msg.payload.append(args.view());
-
-  ++stats_.calls_sent;
+  auto msg = build_call(target, proc, args, pointer_roots, shipped);
+  if (!msg) return msg.status();
+  const std::uint64_t seq = msg.value().seq;
   // At-most-once semantics are unchanged: a CALL is never retransmitted
   // (idempotent=false caps it at one attempt against the full deadline).
   auto promise = std::make_shared<Promise<Message>>();
   auto fut = promise->get_future();
-  auto issued = issue_guarded(std::move(msg), MessageType::kReturn,
+  auto issued = issue_guarded(std::move(msg).value(), MessageType::kReturn,
                               /*idempotent=*/false, promise);
   if (!issued) return issued.status();
   // get() drives the shared endpoint with full re-entrant service — the
@@ -2018,25 +1972,12 @@ Result<Runtime::RawCallFuture> Runtime::call_async(
 
 Result<ByteBuffer> Runtime::RawCallFuture::get(
     std::chrono::steady_clock::time_point deadline) {
-  Runtime& rt = *rt_;
   // Re-pin the issuing session: the reply's side effects (ship-state
   // commit, modified set, closure incorporation) must land in the same
   // session scope the call was issued under, whatever scope the caller
   // happens to be in when it finally collects.
-  ScopedSession scope(rt, session_);
-  auto reply = fut_.get(deadline);
-  if (!reply) return reply.status();
-  Message msg = std::move(reply.value());
-  if (msg.type == MessageType::kError) {
-    return rt.decode_error(msg);
-  }
-  // The callee saw (and now holds) everything this call shipped.
-  rt.commit_shipped(target_, shipped_);
-  ByteBuffer payload = std::move(msg.payload);
-  SRPC_RETURN_IF_ERROR(rt.apply_modified_set(payload, target_));
-  SRPC_RETURN_IF_ERROR(rt.apply_closures(payload));
-  // Cursor now rests at the marshalled results.
-  return payload;
+  ScopedSession scope(*rt_, session_);
+  return rt_->finish_call(target_, shipped_, fut_.get(deadline));
 }
 
 Status Runtime::serve_call(Message msg) {
@@ -2054,8 +1995,7 @@ Status Runtime::serve_call(Message msg) {
     if (cache_in_use && cache_session_ != kNoSession &&
         cache_session_ != msg.session) {
       return send_error(
-          msg.from, msg.session, msg.seq,
-          failed_precondition(
+          msg, failed_precondition(
               "space busy: cache holds data of another RPC session"));
     }
     cache_session_ = msg.session;
@@ -2063,23 +2003,22 @@ Status Runtime::serve_call(Message msg) {
   xdr::Decoder dec(msg.payload);
   auto proc = dec.get_string();
   if (!proc) {
-    return send_error(msg.from, msg.session, msg.seq, proc.status());
+    return send_error(msg, proc.status());
   }
   Status applied = apply_modified_set(msg.payload, msg.from);
   if (!applied.is_ok()) {
-    return send_error(msg.from, msg.session, msg.seq,
-                      Status(applied.code(), "modified-set: " + applied.message()));
+    return send_error(
+        msg, Status(applied.code(), "modified-set: " + applied.message()));
   }
   applied = apply_closures(msg.payload);
   if (!applied.is_ok()) {
-    return send_error(msg.from, msg.session, msg.seq,
-                      Status(applied.code(), "closures: " + applied.message()));
+    return send_error(
+        msg, Status(applied.code(), "closures: " + applied.message()));
   }
 
   const RawHandler* handler = services_.find(proc.value());
   if (handler == nullptr) {
-    return send_error(msg.from, msg.session, msg.seq,
-                      not_found("no such procedure: " + proc.value()));
+    return send_error(msg, not_found("no such procedure: " + proc.value()));
   }
 
   // The dispatch-level session scope already pins msg.session, so the
@@ -2092,21 +2031,17 @@ Status Runtime::serve_call(Message msg) {
     handled = flush_alloc_batches();
   }
   if (!handled.is_ok()) {
-    return send_error(msg.from, msg.session, msg.seq, handled);
+    return send_error(msg, handled);
   }
 
-  Message reply;
-  reply.type = MessageType::kReturn;
-  reply.to = msg.from;
-  reply.session = msg.session;
-  reply.seq = msg.seq;
+  Message reply = reply_to(msg, MessageType::kReturn);
   std::vector<ShippedRecord> shipped;
   Status built = attach_modified_set(reply.payload, msg.from,
                                      /*write_back=*/false,
                                      /*encoded=*/nullptr, &shipped);
   if (built.is_ok()) built = attach_closures(reply.payload, result_roots);
   if (!built.is_ok()) {
-    return send_error(msg.from, msg.session, msg.seq, built);
+    return send_error(msg, built);
   }
   reply.payload.append(results.view());
   Status sent = endpoint_.send(std::move(reply));
@@ -2118,24 +2053,24 @@ Status Runtime::serve_fetch(Message msg) {
   ++stats_.fetches_served;
   xdr::Decoder dec(msg.payload);
   auto budget = dec.get_u64();
-  if (!budget) return send_error(msg.from, msg.session, msg.seq, budget.status());
+  if (!budget) return send_error(msg, budget.status());
   auto wide = dec.get_u32();
-  if (!wide) return send_error(msg.from, msg.session, msg.seq, wide.status());
+  if (!wide) return send_error(msg, wide.status());
   auto base = dec.get_u64();
-  if (!base) return send_error(msg.from, msg.session, msg.seq, base.status());
+  if (!base) return send_error(msg, base.status());
   auto count = dec.get_u32();
-  if (!count) return send_error(msg.from, msg.session, msg.seq, count.status());
+  if (!count) return send_error(msg, count.status());
 
   std::vector<std::uint64_t> roots;
   roots.reserve(count.value());
   for (std::uint32_t i = 0; i < count.value(); ++i) {
     if (wide.value() != 0) {
       auto addr = dec.get_u64();
-      if (!addr) return send_error(msg.from, msg.session, msg.seq, addr.status());
+      if (!addr) return send_error(msg, addr.status());
       roots.push_back(addr.value());
     } else {
       auto delta = dec.get_u32();
-      if (!delta) return send_error(msg.from, msg.session, msg.seq, delta.status());
+      if (!delta) return send_error(msg, delta.status());
       roots.push_back(base.value() + delta.value());
     }
   }
@@ -2156,21 +2091,17 @@ Status Runtime::serve_fetch(Message msg) {
 
   auto packed = packer_.pack(roots, budget.value(), /*require_roots=*/true);
   if (!packed) {
-    return send_error(msg.from, msg.session, msg.seq, packed.status());
+    return send_error(msg, packed.status());
   }
 
-  Message reply;
-  reply.type = MessageType::kFetchReply;
-  reply.to = msg.from;
-  reply.session = msg.session;
-  reply.seq = msg.seq;
+  Message reply = reply_to(msg, MessageType::kFetchReply);
   xdr::Encoder enc(reply.payload);
   enc.put_u32(static_cast<std::uint32_t>(packed.value().groups.size()));
   for (const auto& [space, refs] : packed.value().groups) {
     Status encoded = encode_graph_payload(codec_, arch_, space, refs, *this,
                                           reply.payload);
     if (!encoded.is_ok()) {
-      return send_error(msg.from, msg.session, msg.seq, encoded);
+      return send_error(msg, encoded);
     }
   }
   return endpoint_.send(std::move(reply));
@@ -2180,23 +2111,19 @@ Status Runtime::serve_alloc_batch(Message msg) {
   ++stats_.alloc_batches_served;
   xdr::Decoder dec(msg.payload);
   auto nalloc = dec.get_u32();
-  if (!nalloc) return send_error(msg.from, msg.session, msg.seq, nalloc.status());
+  if (!nalloc) return send_error(msg, nalloc.status());
 
-  Message reply;
-  reply.type = MessageType::kAllocReply;
-  reply.to = msg.from;
-  reply.session = msg.session;
-  reply.seq = msg.seq;
+  Message reply = reply_to(msg, MessageType::kAllocReply);
   xdr::Encoder enc(reply.payload);
   enc.put_u32(nalloc.value());
 
   for (std::uint32_t i = 0; i < nalloc.value(); ++i) {
     auto prov = dec.get_u64();
-    if (!prov) return send_error(msg.from, msg.session, msg.seq, prov.status());
+    if (!prov) return send_error(msg, prov.status());
     auto type = dec.get_u32();
-    if (!type) return send_error(msg.from, msg.session, msg.seq, type.status());
+    if (!type) return send_error(msg, type.status());
     auto mem = heap_.allocate(type.value(), 1);
-    if (!mem) return send_error(msg.from, msg.session, msg.seq, mem.status());
+    if (!mem) return send_error(msg, mem.status());
     // Track remote provenance until the session settles: a committed
     // session promotes the storage to durable home data, an aborted or
     // orphaned one gets it reclaimed.
@@ -2215,10 +2142,10 @@ Status Runtime::serve_alloc_batch(Message msg) {
   }
 
   auto nfree = dec.get_u32();
-  if (!nfree) return send_error(msg.from, msg.session, msg.seq, nfree.status());
+  if (!nfree) return send_error(msg, nfree.status());
   for (std::uint32_t i = 0; i < nfree.value(); ++i) {
     auto addr = dec.get_u64();
-    if (!addr) return send_error(msg.from, msg.session, msg.seq, addr.status());
+    if (!addr) return send_error(msg, addr.status());
     Status freed = heap_.free(reinterpret_cast<void*>(addr.value()));
     if (!freed.is_ok()) {
       SRPC_WARN << "remote free failed: " << freed.to_string();
@@ -2226,32 +2153,6 @@ Status Runtime::serve_alloc_batch(Message msg) {
       recovery_->note_free(addr.value());
     }
   }
-  return endpoint_.send(std::move(reply));
-}
-
-Status Runtime::serve_writeback(Message msg) {
-  ++stats_.writebacks_served;
-  // Single-phase write-back mutates the heap in one step, with no
-  // PREPARE/COMMIT pair to journal it. Log the stage and (after a clean
-  // apply, before the ack) its commit under epoch 0 — single-phase carries
-  // none — so a reincarnation's replay re-applies these bytes instead of
-  // reverting an acknowledged write-back to the pre-write image.
-  const bool journal = recovery_ != nullptr && !is_dead_session(msg.session);
-  if (journal) {
-    const ByteBuffer& body = msg.payload;
-    recovery_->note_prepare(msg.session, /*epoch=*/0, msg.from,
-                            body.data() + body.cursor(), body.remaining());
-  }
-  Status applied = apply_modified_set(msg.payload, msg.from);
-  if (!applied.is_ok()) {
-    return send_error(msg.from, msg.session, msg.seq, applied);
-  }
-  if (journal) recovery_->note_commit(msg.session, /*epoch=*/0);
-  Message reply;
-  reply.type = MessageType::kWriteBackAck;
-  reply.to = msg.from;
-  reply.session = msg.session;
-  reply.seq = msg.seq;
   return endpoint_.send(std::move(reply));
 }
 
@@ -2271,12 +2172,7 @@ Status Runtime::serve_invalidate(Message msg) {
       // coordinator while its ground is mid-teardown. The ground owns the
       // unwind — closing the state here would leave end_session()/
       // abort_session() holding dangling references — so only re-ack.
-      Message reply;
-      reply.type = MessageType::kInvalidateAck;
-      reply.to = msg.from;
-      reply.session = msg.session;
-      reply.seq = msg.seq;
-      return endpoint_.send(std::move(reply));
+      return endpoint_.send(reply_to(msg, MessageType::kInvalidateAck));
     }
     // Home-side arbitration state (locks, observed versions, stage marks)
     // dies with the session whether it committed or aborted.
@@ -2290,30 +2186,14 @@ Status Runtime::serve_invalidate(Message msg) {
       // behalf may never have heard from that ground directly: forward the
       // invalidation so the whole reachable participant graph converges.
       for (const SpaceId peer : st->touched) {
-        if (peer == self_ || peer == msg.from || detector_.is_dead(peer)) {
-          continue;
-        }
-        forward.push_back(peer);
+        if (peer != msg.from) forward.push_back(peer);
       }
       if (st->cache) st->cache->invalidate_all();
       if (st->allocator) st->allocator->clear();
       sessions_.close(msg.session);
     }
-    for (const SpaceId peer : forward) {
-      Message fwd;
-      fwd.type = MessageType::kInvalidate;
-      fwd.to = peer;
-      fwd.session = msg.session;
-      fwd.seq = endpoint_.next_seq();
-      xdr::Encoder enc(fwd.payload);
-      enc.put_u32(aborted ? 1u : 0u);
-      auto ack = guarded_roundtrip(std::move(fwd), MessageType::kInvalidateAck,
-                                   full_dispatcher_, /*idempotent=*/true);
-      if (!ack) {
-        SRPC_WARN << name_ << ": invalidate cascade to space " << peer
-                  << " failed: " << ack.status().to_string();
-      }
-    }
+    (void)invalidate_peers(msg.session, forward, aborted, /*parallel=*/false,
+                           full_dispatcher_, /*best_effort=*/true);
   } else if (cache_session_ == kNoSession || cache_session_ == msg.session) {
     // Invalidation is scoped to its session: a multicast from some other
     // ground must not nuke data a different (still open) session put here.
@@ -2347,12 +2227,7 @@ Status Runtime::serve_invalidate(Message msg) {
     recovery_->note_settle(msg.session, aborted);
   }
   tombstone_session(msg.session);
-  Message reply;
-  reply.type = MessageType::kInvalidateAck;
-  reply.to = msg.from;
-  reply.session = msg.session;
-  reply.seq = msg.seq;
-  Status sent = endpoint_.send(std::move(reply));
+  Status sent = endpoint_.send(reply_to(msg, MessageType::kInvalidateAck));
   // Settlement is the checkpoint cadence: the session's effects are final
   // and the log up to here can be superseded by one heap image.
   maybe_checkpoint();
@@ -2367,7 +2242,7 @@ Status Runtime::serve_wb_prepare(Message msg) {
   ++stats_.wb_prepares_served;
   xdr::Decoder dec(msg.payload);
   auto epoch = dec.get_u64();
-  if (!epoch) return send_error(msg.from, msg.session, msg.seq, epoch.status());
+  if (!epoch) return send_error(msg, epoch.status());
 
   // Multi-session prepares carry a write manifest (the home addresses the
   // batch will overwrite) ahead of the modified-set section. The manifest
@@ -2376,11 +2251,11 @@ Status Runtime::serve_wb_prepare(Message msg) {
   std::vector<std::uint64_t> writes;
   if (multi_session_) {
     auto n = dec.get_u32();
-    if (!n) return send_error(msg.from, msg.session, msg.seq, n.status());
+    if (!n) return send_error(msg, n.status());
     writes.reserve(n.value());
     for (std::uint32_t i = 0; i < n.value(); ++i) {
       auto addr = dec.get_u64();
-      if (!addr) return send_error(msg.from, msg.session, msg.seq, addr.status());
+      if (!addr) return send_error(msg, addr.status());
       // Canonicalise interior addresses to the object base the lock table
       // keys on. An address we no longer host (freed, or a blind create)
       // has no version to defend and is skipped.
@@ -2416,7 +2291,7 @@ Status Runtime::serve_wb_prepare(Message msg) {
     if (!granted.is_ok()) {
       telemetry_.flight().event(FlightEventKind::kWbConflict, vnow_ns(),
                                 msg.from, "prepare refused", 0, msg.session);
-      return send_error(msg.from, msg.session, msg.seq, granted);
+      return send_error(msg, granted);
     }
   }
   if (!already_applied) {
@@ -2444,19 +2319,14 @@ Status Runtime::serve_wb_prepare(Message msg) {
     // machinery only needs to hear that *a* prepare landed).
   }
 
-  Message reply;
-  reply.type = MessageType::kWbPrepareAck;
-  reply.to = msg.from;
-  reply.session = msg.session;
-  reply.seq = msg.seq;
-  return endpoint_.send(std::move(reply));
+  return endpoint_.send(reply_to(msg, MessageType::kWbPrepareAck));
 }
 
 Status Runtime::serve_wb_commit(Message msg) {
   ++stats_.wb_commits_served;
   xdr::Decoder dec(msg.payload);
   auto epoch = dec.get_u64();
-  if (!epoch) return send_error(msg.from, msg.session, msg.seq, epoch.status());
+  if (!epoch) return send_error(msg, epoch.status());
 
   const auto committed = committed_epochs_.find(msg.session);
   if (committed != committed_epochs_.end() && committed->second >= epoch.value()) {
@@ -2465,15 +2335,14 @@ Status Runtime::serve_wb_commit(Message msg) {
     auto it = shadow_commits_.find(msg.session);
     if (it == shadow_commits_.end() || it->second.epoch != epoch.value()) {
       return send_error(
-          msg.from, msg.session, msg.seq,
-          failed_precondition("no staged write-back for session " +
+          msg, failed_precondition("no staged write-back for session " +
                               std::to_string(msg.session) + " epoch " +
                               std::to_string(epoch.value())));
     }
     it->second.staged.reset_cursor();  // a failed earlier apply may have read
     Status applied = apply_modified_set(it->second.staged, it->second.from);
     if (!applied.is_ok()) {
-      return send_error(msg.from, msg.session, msg.seq, applied);
+      return send_error(msg, applied);
     }
     committed_epochs_[msg.session] = epoch.value();
     shadow_commits_.erase(it);
@@ -2488,18 +2357,13 @@ Status Runtime::serve_wb_commit(Message msg) {
     }
   }
 
-  Message reply;
-  reply.type = MessageType::kWbCommitAck;
-  reply.to = msg.from;
-  reply.session = msg.session;
-  reply.seq = msg.seq;
-  return endpoint_.send(std::move(reply));
+  return endpoint_.send(reply_to(msg, MessageType::kWbCommitAck));
 }
 
 Status Runtime::serve_wb_abort(Message msg) {
   xdr::Decoder dec(msg.payload);
   auto epoch = dec.get_u64();
-  if (!epoch) return send_error(msg.from, msg.session, msg.seq, epoch.status());
+  if (!epoch) return send_error(msg, epoch.status());
 
   auto it = shadow_commits_.find(msg.session);
   // Drop only the stage the abort names (or older): a delayed abort from an
@@ -2519,36 +2383,25 @@ Status Runtime::serve_wb_abort(Message msg) {
   }
   // Always ack — aborts must be re-ackable even after the stage is long
   // gone (and even for tombstoned sessions).
-  Message reply;
-  reply.type = MessageType::kWbAbortAck;
-  reply.to = msg.from;
-  reply.session = msg.session;
-  reply.seq = msg.seq;
-  return endpoint_.send(std::move(reply));
+  return endpoint_.send(reply_to(msg, MessageType::kWbAbortAck));
 }
 
 Status Runtime::serve_ping(Message msg) {
-  Message reply;
-  reply.type = MessageType::kPong;
-  reply.to = msg.from;
-  reply.session = msg.session;
-  reply.seq = msg.seq;
-  return endpoint_.send(std::move(reply));
+  return endpoint_.send(reply_to(msg, MessageType::kPong));
 }
 
 Status Runtime::serve_deref(Message msg) {
   ++stats_.derefs_served;
   xdr::Decoder dec(msg.payload);
   auto lp = decode_long_pointer(dec);
-  if (!lp) return send_error(msg.from, msg.session, msg.seq, lp.status());
+  if (!lp) return send_error(msg, lp.status());
   if (lp.value().space != self_) {
-    return send_error(msg.from, msg.session, msg.seq,
-                      invalid_argument("deref for data homed elsewhere"));
+    return send_error(msg, invalid_argument("deref for data homed elsewhere"));
   }
   const ManagedHeap::Record* record = heap_.find_base(lp.value().address);
   if (record == nullptr) {
-    return send_error(msg.from, msg.session, msg.seq,
-                      not_found("deref of unknown datum: " + lp.value().to_string()));
+    return send_error(
+        msg, not_found("deref of unknown datum: " + lp.value().to_string()));
   }
   if (multi_session_ && msg.session != kNoSession) {
     // The session observed this object's current version; a later commit
@@ -2556,17 +2409,13 @@ Status Runtime::serve_deref(Message msg) {
     arbiter_.note_read(msg.session,
                        reinterpret_cast<std::uint64_t>(record->base));
   }
-  Message reply;
-  reply.type = MessageType::kDerefReply;
-  reply.to = msg.from;
-  reply.session = msg.session;
-  reply.seq = msg.seq;
+  Message reply = reply_to(msg, MessageType::kDerefReply);
   xdr::Encoder enc(reply.payload);
   LongPointerFieldCodec pointer_codec(*this);
   Status encoded =
       codec_.encode(arch_, record->type, record->base, enc, pointer_codec);
   if (!encoded.is_ok()) {
-    return send_error(msg.from, msg.session, msg.seq, encoded);
+    return send_error(msg, encoded);
   }
   return endpoint_.send(std::move(reply));
 }
@@ -2655,250 +2504,141 @@ Status Runtime::end_session(SessionId id) {
   // roundtrip that refuses to serve would deadlock two grounds committing
   // at each other, so multi-session mode always passes the full dispatcher.
   const RpcEndpoint::Dispatcher no_serve;
-  const RpcEndpoint::Dispatcher& serve_during_commit =
-      multi_session_ ? full_dispatcher_ : no_serve;
+  const RpcEndpoint::Dispatcher& serve = multi_session_ ? full_dispatcher_ : no_serve;
   const std::uint64_t t_start = telemetry_.now_ns();
   poll_failures();
   SRPC_RETURN_IF_ERROR(flush_alloc_batches());
   st.status = SessionStatus::kCommitting;
+  // Every failure below leaves the session open, so the caller may retry
+  // end_session() or fall back to abort_session().
+  auto fail = [&st](Status status) {
+    st.status = SessionStatus::kActive;
+    return status;
+  };
 
   // Examine the modified data set and write each datum back to its home,
   // one coalesced batch per home peer. Data whose final content the home
   // already observed (epoch/fingerprint match from the last hop) is skipped
   // entirely; a home with nothing left to learn gets no message.
   //
-  // Toward two-phase-capable homes the batch travels as WB_PREPARE: the
-  // home stages it in a shadow buffer keyed by {session, epoch} and applies
-  // nothing yet. Only when EVERY home has acknowledged its prepare does
-  // phase two commit them all — so a crash, partition, or deadline during
-  // phase one aborts cleanly everywhere and no home is left half-new.
-  // Legacy homes (capability not negotiated, or the local toggle off) keep
-  // the one-shot WRITE_BACK and apply immediately.
+  // The batch travels as WB_PREPARE: the home stages it in a shadow buffer
+  // keyed by {session, epoch} and applies nothing yet. Only when EVERY home
+  // has acknowledged its prepare does phase two commit them all — so a
+  // crash, partition, or deadline during phase one aborts cleanly
+  // everywhere and no home is left half-new.
   std::set<SpaceId> homes;
   for (const auto& d : session_cache.collect_modified_deltas()) {
     if (d.id.space != self_) homes.insert(d.id.space);
   }
 
   const std::uint64_t epoch = ++wb_epoch_;
-  struct PreparedHome {
-    SpaceId home;
+  struct Stage {
+    SpaceId home = 0;
     std::vector<ShippedRecord> shipped;
+    Message prepare;
   };
-  std::vector<PreparedHome> prepared;
-  Status failure = Status::ok();
+  // Encode every home's batch first (each snapshot rides one frame either
+  // way), then ship. With parallel_commit_ every frame is in flight before
+  // the first ack is collected, so each phase costs the slowest home
+  // rather than the sum of all round trips (bench/fig9_pipeline measures
+  // the difference).
+  std::vector<Stage> stages;
+  for (const SpaceId home : homes) {
+    Stage stage{home, {}, request(MessageType::kWbPrepare, home, id)};
+    ByteBuffer section;
+    std::size_t encoded = 0;
+    Status attached = attach_modified_set(section, home, /*write_back=*/true,
+                                          &encoded, &stage.shipped);
+    if (!attached.is_ok()) return fail(attached);
+    if (encoded == 0) continue;  // home already holds the final content
+    xdr::Encoder enc(stage.prepare.payload);
+    enc.put_u64(epoch);
+    if (multi_session_) {
+      // The write manifest (home addresses this batch overwrites) lets the
+      // home arbitrate before it stages anything.
+      enc.put_u32(static_cast<std::uint32_t>(stage.shipped.size()));
+      for (const ShippedRecord& r : stage.shipped) enc.put_u64(r.id.address);
+    }
+    stage.prepare.payload.append(section.view());
+    stages.push_back(std::move(stage));
+  }
 
-  // Builds the phase-two/abort frame (epoch only) for one home.
-  auto epoch_message = [&](MessageType type, SpaceId home) {
-    Message msg;
-    msg.type = type;
-    msg.to = home;
-    msg.session = id;
-    msg.seq = endpoint_.next_seq();
+  // Counts and annotates one phase frame; builds the phase-two/abort frame
+  // (epoch only).
+  auto note_frame = [&](std::uint64_t& counter, const char* what, SpaceId home) {
+    ++counter;
+    if (telemetry_.tracing()) {
+      telemetry_.annotate(std::string(what) + ": home " + std::to_string(home) +
+                          " epoch " + std::to_string(epoch));
+    }
+  };
+  auto epoch_frame = [&](MessageType type, SpaceId home) {
+    Message msg = request(type, home, id);
     xdr::Encoder enc(msg.payload);
     enc.put_u64(epoch);
     return msg;
   };
 
-  // Encode every home's batch first (each snapshot rides one frame either
-  // way), then ship. With parallel_commit_ every frame is in flight before
-  // the first ack is collected, so the prepare fan-out costs the slowest
-  // home rather than the sum of all round trips (bench/fig9_pipeline
-  // measures the difference); sequential mode keeps one frame outstanding
-  // at a time as the A/B baseline.
-  struct PendingPrepare {
-    SpaceId home = 0;
-    bool capable = false;
-    std::vector<ShippedRecord> shipped;
-    Message msg;
-    std::uint64_t seq = 0;
-    bool issued = false;
-  };
-  std::vector<PendingPrepare> batch;
-  for (const SpaceId home : homes) {
-    const bool capable =
-        two_phase_writeback_enabled_ && peer_caps_ &&
-        (peer_caps_(home) & kCapTwoPhaseWriteBack) != 0;
-    // The manifest (and the home's arbitration) rides only on prepares
-    // between multi-session peers — the capability is world-uniform, so a
-    // mixed wire format never occurs.
-    const bool multi_capable =
-        capable && multi_session_ &&
-        (peer_caps_(home) & kCapMultiSession) != 0;
-    Message msg;
-    msg.type = capable ? MessageType::kWbPrepare : MessageType::kWriteBack;
-    msg.to = home;
-    msg.session = id;
-    msg.seq = endpoint_.next_seq();
-    std::size_t encoded = 0;
-    std::vector<ShippedRecord> shipped;
-    if (multi_capable) {
-      // The write manifest (home addresses this batch overwrites) precedes
-      // the modified-set section, but is derived from it — so encode the
-      // section into a scratch buffer first, then splice.
-      ByteBuffer section;
-      Status attached = attach_modified_set(section, home,
-                                            /*write_back=*/true, &encoded,
-                                            &shipped);
-      if (!attached.is_ok()) {
-        failure = attached;
-        break;
-      }
-      if (encoded == 0) continue;  // home already holds the final content
-      xdr::Encoder enc(msg.payload);
-      enc.put_u64(epoch);
-      enc.put_u32(static_cast<std::uint32_t>(shipped.size()));
-      for (const ShippedRecord& r : shipped) enc.put_u64(r.id.address);
-      msg.payload.append(section.view());
-    } else {
-      if (capable) {
-        xdr::Encoder enc(msg.payload);
-        enc.put_u64(epoch);
-      }
-      Status attached = attach_modified_set(msg.payload, home,
-                                            /*write_back=*/true, &encoded,
-                                            &shipped);
-      if (!attached.is_ok()) {
-        failure = attached;
-        break;
-      }
-      if (encoded == 0) continue;  // home already holds the final content
-    }
-    PendingPrepare p;
-    p.home = home;
-    p.capable = capable;
-    p.shipped = std::move(shipped);
-    p.msg = std::move(msg);
-    batch.push_back(std::move(p));
-  }
-
-  // Both shapes are idempotent: WRITE_BACK overwrites, WB_PREPARE
-  // re-stages the same bytes under the same epoch. Lost acks are
-  // recovered by retransmission under the same seq.
-  auto issue_prepare = [&](PendingPrepare& p) {
-    if (p.capable) {
-      ++stats_.wb_prepares;
-      if (telemetry_.tracing()) {
-        telemetry_.annotate("wb prepare: home " + std::to_string(p.home) +
-                            " epoch " + std::to_string(epoch));
-      }
-    }
-    auto issued = issue_guarded(
-        std::move(p.msg),
-        p.capable ? MessageType::kWbPrepareAck : MessageType::kWriteBackAck,
-        /*idempotent=*/true);
-    if (!issued) {
-      if (failure.is_ok()) failure = issued.status();
-      return;
-    }
-    p.seq = issued.value();
-    p.issued = true;
-  };
-  auto settle_prepare = [&](PendingPrepare& p) {
-    auto ack = collect_guarded(p.seq, serve_during_commit);
-    if (!ack) {
-      if (failure.is_ok()) failure = ack.status();
-      return;
-    }
-    if (ack.value().type == MessageType::kError) {
-      Status err = decode_error(ack.value());
-      if (err.code() == StatusCode::kConflict) {
-        // WB_CONFLICT: the home's arbiter refused the prepare (stale read,
-        // wound, or an older writer holds the object). The session lost;
-        // the caller aborts it and retries under backoff.
-        ++stats_.wb_conflicts;
-        telemetry_.count("concurrency.wb_conflicts");
-        telemetry_.flight().event(FlightEventKind::kWbConflict, vnow_ns(),
-                                  p.home, "lost arbitration", 0,
-                                  id);
-        SRPC_DEBUG << name_ << ": session " << id
-                   << " lost arbitration at home " << p.home << ": "
-                   << err.to_string();
-      }
-      if (failure.is_ok()) failure = err;
-      return;
-    }
-    if (p.capable) {
-      prepared.push_back(PreparedHome{p.home, std::move(p.shipped)});
-    } else {
-      commit_shipped(p.home, p.shipped);
-    }
-  };
-  if (failure.is_ok()) {
-    if (parallel_commit_) {
-      // Fan out, then settle every in-flight frame (even once a failure is
-      // recorded — no completion slot may leak, and every home that staged
-      // must be known so the abort sweep below reaches it).
-      for (PendingPrepare& p : batch) issue_prepare(p);
-      for (PendingPrepare& p : batch) {
-        if (p.issued) settle_prepare(p);
-      }
-    } else {
-      for (PendingPrepare& p : batch) {
-        if (!failure.is_ok()) break;
-        issue_prepare(p);
-        if (p.issued) settle_prepare(p);
-      }
-    }
-  }
-
-  // One acknowledged epoch-frame round trip (abort, commit, invalidate).
-  struct PendingAck {
-    SpaceId home = 0;
-    std::uint64_t seq = 0;
-    const PreparedHome* prep = nullptr;
-  };
+  // Phase one. WB_PREPARE is idempotent (it re-stages the same bytes under
+  // the same epoch): lost acks are recovered by retransmission.
+  std::vector<const Stage*> prepared;
+  Status failure = fan_out(
+      stages.size(), MessageType::kWbPrepareAck, parallel_commit_, serve,
+      [&](std::size_t i) {
+        note_frame(stats_.wb_prepares, "wb prepare", stages[i].home);
+        return std::move(stages[i].prepare);
+      },
+      [&](std::size_t i, Result<Message> ack) {
+        if (!ack) {
+          if (ack.status().code() == StatusCode::kConflict) {
+            // WB_CONFLICT: the home's arbiter refused the prepare (stale
+            // read, wound, or an older writer holds the object). The
+            // session lost; the caller aborts it and retries under backoff.
+            ++stats_.wb_conflicts;
+            telemetry_.count("concurrency.wb_conflicts");
+            telemetry_.flight().event(FlightEventKind::kWbConflict, vnow_ns(),
+                                      stages[i].home, "lost arbitration", 0, id);
+            SRPC_DEBUG << name_ << ": session " << id
+                       << " lost arbitration at home " << stages[i].home
+                       << ": " << ack.status().to_string();
+          }
+          return ack.status();
+        }
+        prepared.push_back(&stages[i]);
+        return Status::ok();
+      });
 
   if (!failure.is_ok()) {
     // Phase one failed somewhere: roll back every staged home, best-effort
     // (a home we cannot reach will drop its stage when the session's
-    // INVALIDATE or tombstone eventually lands). The session stays open so
-    // the caller may retry end_session() or fall back to abort_session().
-    std::vector<PendingAck> aborts;
-    auto settle_abort = [&](const PendingAck& a) {
-      auto ack = collect_guarded(a.seq, serve_during_commit);
-      if (!ack) {
-        SRPC_WARN << name_ << ": write-back abort to space " << a.home
-                  << " failed: " << ack.status().to_string();
-      }
-    };
-    // Decision logged before any abort ships: if we crash mid-sweep, our
-    // successor's REJOIN tells the still-staged homes to roll back.
+    // INVALIDATE or tombstone eventually lands). The decision is logged
+    // before any abort ships: if we crash mid-sweep, our successor's REJOIN
+    // tells the still-staged homes to roll back.
     if (recovery_ != nullptr && !prepared.empty()) {
       recovery_->note_decision(id, epoch, /*committed=*/false);
     }
-    for (const PreparedHome& p : prepared) {
-      ++stats_.wb_aborts;
-      if (telemetry_.tracing()) {
-        telemetry_.annotate("wb abort: home " + std::to_string(p.home) +
-                            " epoch " + std::to_string(epoch));
-      }
-      auto issued =
-          issue_guarded(epoch_message(MessageType::kWbAbort, p.home),
-                        MessageType::kWbAbortAck, /*idempotent=*/true);
-      if (!issued) {
-        SRPC_WARN << name_ << ": write-back abort to space " << p.home
-                  << " failed: " << issued.status().to_string();
-        continue;
-      }
-      PendingAck a{p.home, issued.value(), nullptr};
-      if (parallel_commit_) {
-        aborts.push_back(a);
-      } else {
-        settle_abort(a);
-      }
-    }
-    for (const PendingAck& a : aborts) settle_abort(a);
-    st.status = SessionStatus::kActive;  // still open: retry or abort
-    return failure;
+    (void)fan_out(
+        prepared.size(), MessageType::kWbAbortAck, parallel_commit_, serve,
+        [&](std::size_t i) {
+          note_frame(stats_.wb_aborts, "wb abort", prepared[i]->home);
+          return epoch_frame(MessageType::kWbAbort, prepared[i]->home);
+        },
+        [&](std::size_t i, Result<Message> ack) {
+          if (!ack) {
+            SRPC_WARN << name_ << ": write-back abort to space "
+                      << prepared[i]->home
+                      << " failed: " << ack.status().to_string();
+          }
+          return Status::ok();
+        });
+    return fail(failure);
   }
 
   // Phase two: every home staged successfully — commit them all. A failure
-  // here leaves the session open and is safe to retry: homes that already
-  // committed re-ack the duplicate epoch, homes that still hold the stage
-  // apply it, and a retried end_session() re-prepares only what the
-  // fingerprint suppression has not already committed. The fan-out follows
-  // parallel_commit_ like phase one; every issued frame is settled before
-  // the first failure is reported.
+  // here is safe to retry: homes that already committed re-ack the
+  // duplicate epoch, homes that still hold the stage apply it, and a
+  // retried end_session() re-prepares only what the fingerprint
+  // suppression has not already committed.
   //
   // The commit decision is journaled BEFORE the first WB_COMMIT ships —
   // this is the atomic commit point of the session. If we crash between
@@ -2907,47 +2647,18 @@ Status Runtime::end_session(SessionId id) {
   if (recovery_ != nullptr && !prepared.empty()) {
     recovery_->note_decision(id, epoch, /*committed=*/true);
   }
-  Status commit_failure = Status::ok();
-  std::vector<PendingAck> commits;
-  auto settle_commit = [&](const PendingAck& a) {
-    auto ack = collect_guarded(a.seq, serve_during_commit);
-    if (!ack) {
-      if (commit_failure.is_ok()) commit_failure = ack.status();
-      return;
-    }
-    if (ack.value().type == MessageType::kError) {
-      Status err = decode_error(ack.value());
-      if (commit_failure.is_ok()) commit_failure = err;
-      return;
-    }
-    commit_shipped(a.home, a.prep->shipped);
-  };
-  for (const PreparedHome& p : prepared) {
-    if (!parallel_commit_ && !commit_failure.is_ok()) break;
-    ++stats_.wb_commits;
-    if (telemetry_.tracing()) {
-      telemetry_.annotate("wb commit: home " + std::to_string(p.home) +
-                          " epoch " + std::to_string(epoch));
-    }
-    auto issued =
-        issue_guarded(epoch_message(MessageType::kWbCommit, p.home),
-                      MessageType::kWbCommitAck, /*idempotent=*/true);
-    if (!issued) {
-      if (commit_failure.is_ok()) commit_failure = issued.status();
-      continue;
-    }
-    PendingAck a{p.home, issued.value(), &p};
-    if (parallel_commit_) {
-      commits.push_back(a);
-    } else {
-      settle_commit(a);
-    }
-  }
-  for (const PendingAck& a : commits) settle_commit(a);
-  if (!commit_failure.is_ok()) {
-    st.status = SessionStatus::kActive;
-    return commit_failure;
-  }
+  Status committed = fan_out(
+      prepared.size(), MessageType::kWbCommitAck, parallel_commit_, serve,
+      [&](std::size_t i) {
+        note_frame(stats_.wb_commits, "wb commit", prepared[i]->home);
+        return epoch_frame(MessageType::kWbCommit, prepared[i]->home);
+      },
+      [&](std::size_t i, Result<Message> ack) {
+        if (!ack) return ack.status();
+        commit_shipped(prepared[i]->home, prepared[i]->shipped);
+        return Status::ok();
+      });
+  if (!committed.is_ok()) return fail(committed);
 
   // Multicast the invalidation to every space concerned with the session.
   // The explicit aborted=0 flag tells homes the session committed: their
@@ -2955,56 +2666,13 @@ Status Runtime::end_session(SessionId id) {
   // Multi-session mode multicasts only to the peers this session actually
   // touched (each forwards to its own touched set); single-session mode
   // keeps the whole-directory sweep.
-  std::vector<SpaceId> invalidate_targets;
-  if (multi_session_) {
-    invalidate_targets.assign(st.touched.begin(), st.touched.end());
-  } else {
-    const std::vector<SpaceId> everyone = directory_();
-    invalidate_targets.assign(everyone.begin(), everyone.end());
-  }
-  Status inv_failure = Status::ok();
-  std::vector<PendingAck> invalidations;
-  auto settle_invalidate = [&](const PendingAck& a) {
-    auto ack = collect_guarded(a.seq, serve_during_commit);
-    if (!ack) {
-      if (inv_failure.is_ok()) inv_failure = ack.status();
-      return;
-    }
-    if (ack.value().type == MessageType::kError) {
-      Status err = decode_error(ack.value());
-      if (inv_failure.is_ok()) inv_failure = err;
-    }
-  };
-  for (const SpaceId peer : invalidate_targets) {
-    // A dead peer has nothing left to invalidate (its pages were revoked,
-    // its orphans reclaimed) and must not wedge everyone else's commit.
-    if (peer == self_ || detector_.is_dead(peer)) continue;
-    if (!parallel_commit_ && !inv_failure.is_ok()) break;
-    Message msg;
-    msg.type = MessageType::kInvalidate;
-    msg.to = peer;
-    msg.session = id;
-    msg.seq = endpoint_.next_seq();
-    xdr::Encoder enc(msg.payload);
-    enc.put_u32(0);  // not aborted
-    auto issued = issue_guarded(std::move(msg), MessageType::kInvalidateAck,
-                                /*idempotent=*/true);
-    if (!issued) {
-      if (inv_failure.is_ok()) inv_failure = issued.status();
-      continue;
-    }
-    PendingAck a{peer, issued.value(), nullptr};
-    if (parallel_commit_) {
-      invalidations.push_back(a);
-    } else {
-      settle_invalidate(a);
-    }
-  }
-  for (const PendingAck& a : invalidations) settle_invalidate(a);
-  if (!inv_failure.is_ok()) {
-    st.status = SessionStatus::kActive;
-    return inv_failure;
-  }
+  const std::vector<SpaceId> targets =
+      multi_session_ ? std::vector<SpaceId>(st.touched.begin(), st.touched.end())
+                     : directory_();
+  Status invalidated = invalidate_peers(id, targets, /*aborted=*/false,
+                                        parallel_commit_, serve,
+                                        /*best_effort=*/false);
+  if (!invalidated.is_ok()) return fail(invalidated);
 
   session_cache.invalidate_all();
   session_alloc.clear();
@@ -3060,25 +2728,8 @@ Status Runtime::abort_session() {
   // shed through its own tombstones or failure detection.
   Status worst = Status::ok();
   if (aborting != kNoSession) {
-    for (const SpaceId peer : directory_()) {
-      if (peer == self_ || detector_.is_dead(peer)) continue;
-      Message msg;
-      msg.type = MessageType::kInvalidate;
-      msg.to = peer;
-      msg.session = aborting;
-      msg.seq = endpoint_.next_seq();
-      // aborted=1: homes discard any staged write-back and reclaim the
-      // extended_malloc storage this session created there.
-      xdr::Encoder enc(msg.payload);
-      enc.put_u32(1);
-      auto ack = guarded_roundtrip(std::move(msg), MessageType::kInvalidateAck,
-                                   nullptr, /*idempotent=*/true);
-      if (!ack) {
-        SRPC_WARN << name_ << ": abort invalidate of space " << peer
-                  << " failed: " << ack.status().to_string();
-        worst = ack.status();
-      }
-    }
+    worst = invalidate_peers(aborting, directory_(), /*aborted=*/true,
+                             /*parallel=*/false, nullptr, /*best_effort=*/true);
     tombstone_session(aborting);
   }
 
@@ -3123,29 +2774,12 @@ Status Runtime::abort_session(SessionId id) {
   // provisional identities never reached a home, so there is nothing to
   // undo remotely.
   if (st->allocator) st->allocator->clear();
-  const std::vector<SpaceId> targets(st->touched.begin(), st->touched.end());
   // Best-effort invalidation to the touched peers (each cascades onward).
   // A failure never stops the local unwind, but is reported to the caller.
-  Status worst = Status::ok();
-  for (const SpaceId peer : targets) {
-    if (peer == self_ || detector_.is_dead(peer)) continue;
-    Message msg;
-    msg.type = MessageType::kInvalidate;
-    msg.to = peer;
-    msg.session = id;
-    msg.seq = endpoint_.next_seq();
-    // aborted=1: homes discard any staged write-back and reclaim the
-    // extended_malloc storage this session created there.
-    xdr::Encoder enc(msg.payload);
-    enc.put_u32(1);
-    auto ack = guarded_roundtrip(std::move(msg), MessageType::kInvalidateAck,
-                                 full_dispatcher_, /*idempotent=*/true);
-    if (!ack) {
-      SRPC_WARN << name_ << ": abort invalidate of space " << peer
-                << " failed: " << ack.status().to_string();
-      worst = ack.status();
-    }
-  }
+  const Status worst = invalidate_peers(
+      id, std::vector<SpaceId>(st->touched.begin(), st->touched.end()),
+      /*aborted=*/true, /*parallel=*/false, full_dispatcher_,
+      /*best_effort=*/true);
   tombstone_session(id);
   arbiter_.release(id);
   // The roundtrips above may have served nested traffic; re-resolve the
@@ -3175,7 +2809,7 @@ Status Runtime::dispatch(Message msg) {
   // worker thread interleave many sessions without cross-talk.
   ScopedSession scope(*this, msg.session);
   // Stragglers of invalidated sessions are refused before they can touch
-  // any state: a delayed CALL or WRITE_BACK must not repopulate the cache
+  // any state: a delayed CALL or WB_PREPARE must not repopulate the cache
   // of a session that is already gone. INVALIDATE itself stays servable
   // (retransmits must keep getting acks) and FETCH against tombstones is
   // refused so the requester fails fast rather than resurrecting the id.
@@ -3183,7 +2817,6 @@ Status Runtime::dispatch(Message msg) {
     case MessageType::kCall:
     case MessageType::kFetch:
     case MessageType::kAllocBatch:
-    case MessageType::kWriteBack:
     case MessageType::kWbPrepare:
     case MessageType::kWbCommit:
     case MessageType::kDeref:
@@ -3191,9 +2824,9 @@ Status Runtime::dispatch(Message msg) {
         ++stats_.dead_session_rejections;
         SRPC_DEBUG << name_ << ": refusing " << to_string(msg.type)
                    << " from dead session " << msg.session;
-        return send_error(msg.from, msg.session, msg.seq,
-                          unavailable("session " + std::to_string(msg.session) +
-                                      " was invalidated"));
+        return send_error(msg, unavailable("session " +
+                                           std::to_string(msg.session) +
+                                           " was invalidated"));
       }
       break;
     default:
@@ -3223,7 +2856,6 @@ Status Runtime::dispatch(Message msg) {
       case MessageType::kCall:
       case MessageType::kFetch:
       case MessageType::kAllocBatch:
-      case MessageType::kWriteBack:
       case MessageType::kInvalidate:
       case MessageType::kWbPrepare:
       case MessageType::kWbCommit:
@@ -3255,8 +2887,6 @@ Status Runtime::dispatch_serve(Message msg) {
       return serve_alloc_batch(std::move(msg));
     case MessageType::kFetch:
       return serve_fetch(std::move(msg));
-    case MessageType::kWriteBack:
-      return serve_writeback(std::move(msg));
     case MessageType::kInvalidate:
       return serve_invalidate(std::move(msg));
     case MessageType::kWbPrepare:
@@ -3281,7 +2911,6 @@ Status Runtime::dispatch_serve(Message msg) {
     case MessageType::kReturn:
     case MessageType::kFetchReply:
     case MessageType::kAllocReply:
-    case MessageType::kWriteBackAck:
     case MessageType::kInvalidateAck:
     case MessageType::kWbPrepareAck:
     case MessageType::kWbCommitAck:

@@ -16,6 +16,7 @@
 // in a call and fetches issued from the SIGSEGV handler.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <deque>
 #include <functional>
@@ -53,7 +54,6 @@ struct RuntimeStats {
   std::uint64_t calls_served = 0;
   std::uint64_t fetches_served = 0;
   std::uint64_t derefs_served = 0;
-  std::uint64_t writebacks_served = 0;
   std::uint64_t alloc_batches_served = 0;
   // Failure-handling layer (PROTOCOL.md "Timeouts, retries, and duplicate
   // absorption").
@@ -106,16 +106,12 @@ class Runtime final : public PageFetcher,
   // `sim` may be null (real-socket transport): fault costs then show up as
   // real time instead of virtual time. `directory` lists every space in the
   // world for the session-end invalidation multicast.
-  // `peer_caps` reports the capability bits (rpc/wire.hpp kCap*) a peer
-  // accepts; empty means "no optional features" and keeps every payload in
-  // the legacy format.
   Runtime(SpaceId self, std::string name, const ArchModel& arch,
           TypeRegistry& registry, const LayoutEngine& layouts,
           HostTypeMap& host_types, Transport& transport, SimNetwork* sim,
           CacheOptions cache_options,
           std::function<std::vector<SpaceId>()> directory,
-          TimeoutConfig timeouts = {},
-          std::function<std::uint32_t(SpaceId)> peer_caps = {});
+          TimeoutConfig timeouts = {});
   ~Runtime() override = default;
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
@@ -176,30 +172,29 @@ class Runtime final : public PageFetcher,
   [[nodiscard]] const TimeoutConfig& timeouts() const noexcept { return timeouts_; }
   void set_timeouts(const TimeoutConfig& timeouts) noexcept { timeouts_ = timeouts; }
 
-  // Local kill switch for delta-encoded modified sets (benchmarks ablate
-  // with it). Off, every modified object ships as a full graph payload even
-  // to delta-capable peers. Flip only between sessions.
+  // Kill switch for delta-encoded modified sets (WorldOptions::modified_deltas
+  // sets it for every life of the space; benchmarks ablate with it). Off,
+  // every modified object ships as a full graph payload. Flip only between
+  // sessions.
   [[nodiscard]] bool modified_deltas() const noexcept {
     return modified_deltas_enabled_;
   }
   void set_modified_deltas(bool on) noexcept { modified_deltas_enabled_ = on; }
 
-  // Local kill switch for the two-phase session-end write-back. Off, this
-  // runtime ends sessions with the one-shot WRITE_BACK protocol even toward
-  // capable peers. Flip only between sessions.
-  [[nodiscard]] bool two_phase_writeback() const noexcept {
-    return two_phase_writeback_enabled_;
-  }
-  void set_two_phase_writeback(bool on) noexcept {
-    two_phase_writeback_enabled_ = on;
+  // Deltas and the shm lane ship sender-native layouts, so both need every
+  // space in the world to share one ArchModel. The World owns the flag and
+  // clears it when a foreign-arch space joins; it is read on every send.
+  // Null (no World) counts as mixed.
+  void set_uniform_arch(const std::atomic<bool>* flag) noexcept {
+    uniform_arch_ = flag;
   }
 
-  // Parallel per-home fan-out at session end (two-phase write-back): all
-  // WB_PREPAREs are issued before any ack is collected, then all
-  // WB_COMMITs, then the invalidation multicast — commit latency is the
-  // slowest home, not the sum. Off, each round trip completes before the
-  // next home is addressed (the pre-pipelining behaviour; kept as a bench
-  // ablation). Flip only between sessions.
+  // Parallel per-home fan-out at session end: all WB_PREPAREs are issued
+  // before any ack is collected, then all WB_COMMITs, then the invalidation
+  // multicast — commit latency is the slowest home, not the sum. Off, each
+  // round trip completes before the next home is addressed and the first
+  // failure stops the phase (fig9's sequential baseline; fault tests use it
+  // for deterministic drop placement). Flip only between sessions.
   [[nodiscard]] bool parallel_commit() const noexcept { return parallel_commit_; }
   void set_parallel_commit(bool on) noexcept { parallel_commit_ = on; }
 
@@ -525,8 +520,12 @@ class Runtime final : public PageFetcher,
     });
   }
 
-  // Send-side shm elevation: publishes an owned, non-empty payload into the
-  // arena for kCapShmPayload peers and swaps it for a view descriptor;
+  [[nodiscard]] bool uniform_arch() const noexcept {
+    return uniform_arch_ != nullptr && uniform_arch_->load();
+  }
+
+  // Send-side shm elevation: in a uniform-arch world, publishes an owned,
+  // non-empty payload into the arena and swaps it for a view descriptor;
   // otherwise counts the bytes as copied (rpc.bytes_copied). Installed on
   // RpcEndpoint's payload lane by set_shm_arena().
   void elevate_payload(Message& msg);
@@ -549,7 +548,6 @@ class Runtime final : public PageFetcher,
   Status serve_call(Message msg);
   Status serve_fetch(Message msg);
   Status serve_alloc_batch(Message msg);
-  Status serve_writeback(Message msg);
   Status serve_invalidate(Message msg);
   Status serve_deref(Message msg);
   Status serve_wb_prepare(Message msg);
@@ -578,32 +576,73 @@ class Runtime final : public PageFetcher,
   // Checkpoint cadence driven by session settlements (serve_invalidate).
   void maybe_checkpoint();
 
-  // endpoint_.roundtrip guarded by the failure detector: fails fast with
-  // SPACE_DEAD when the destination is already declared dead, notes contact
-  // on success, and probes the peer (kPing, one short attempt) after a
-  // DEADLINE_EXCEEDED/UNAVAILABLE so consecutive misses accumulate into
-  // suspicion and, eventually, a death verdict.
+  // The one request path. Issues `msg` guarded by the failure detector:
+  // fails fast with SPACE_DEAD when the destination is already declared
+  // dead, records the session's touched peer, and attaches the client
+  // span's trace context. Telemetry (latency histogram, SLO, span finish,
+  // contact + lease touch, failure counting) runs in the slot's completion
+  // callback whenever the reply lands, possibly while some other request is
+  // being collected — or at once if the request never leaves. A peer that
+  // failed with DEADLINE_EXCEEDED/UNAVAILABLE is queued for a probe (kPing,
+  // one short attempt, drain_probes) so consecutive misses accumulate into
+  // suspicion and, eventually, a death verdict. A `nested` client span is
+  // pushed on the span stack, so callbacks served while the caller blocks
+  // on the reply parent under it; otherwise it is detached (a concurrent
+  // sibling under the issuing scope). When `promise` is non-null the slot is
+  // detached and the reply — a remote ERROR decoded into its Status — is
+  // delivered through it (futures); otherwise collect the seq with
+  // collect_guarded, which decodes a remote ERROR the same way.
+  Result<std::uint64_t> issue_guarded(
+      Message msg, MessageType reply_type, bool idempotent,
+      std::shared_ptr<Promise<Message>> promise = nullptr, bool nested = false);
+  Result<Message> collect_guarded(std::uint64_t seq,
+                                  const RpcEndpoint::Dispatcher& serve);
+  // Blocking round trip: issue_guarded (nested span) + collect_guarded.
   Result<Message> guarded_roundtrip(Message msg, MessageType reply_type,
                                     const RpcEndpoint::Dispatcher& serve,
                                     bool idempotent);
 
-  // Async twin of guarded_roundtrip's front half: same failfast check,
-  // touched-set recording, and trace-context attachment, but the request is
-  // only *issued* — telemetry (latency histogram, span finish, lease touch,
-  // failure counting) runs in the slot's completion callback whenever the
-  // reply lands, possibly while some other request is being collected.
-  // Client spans are start_detached: concurrent siblings under the issuing
-  // session, never a stack nesting. Failed peers are queued for probing
-  // (pending_probe_peers_) instead of probed inline, because the completion
-  // callback may run on a re-entrant pump stack where a nested ping
-  // roundtrip is not safe. When `promise` is non-null the slot is detached
-  // and the reply is delivered through it (futures); otherwise collect the
-  // seq with collect_guarded.
-  Result<std::uint64_t> issue_guarded(
-      Message msg, MessageType reply_type, bool idempotent,
-      std::shared_ptr<Promise<Message>> promise = nullptr);
-  Result<Message> collect_guarded(std::uint64_t seq,
-                                  const RpcEndpoint::Dispatcher& serve);
+  // One idempotent request per index 0..n-1, built by `make` and settled by
+  // `settle`, which sees every outcome — an issue failure, a transport
+  // failure, a decoded remote ERROR, or the reply — and returns the status
+  // to record. Parallel: every frame is issued before any is settled, and
+  // every issued frame is settled (no completion slot may leak). Sequential:
+  // each frame is settled before the next is issued, and the first failure
+  // stops the fan-out. Returns the first failure recorded.
+  using FrameMaker = std::function<Message(std::size_t)>;
+  using FrameSettler = std::function<Status(std::size_t, Result<Message>)>;
+  Status fan_out(std::size_t n, MessageType reply_type, bool parallel,
+                 const RpcEndpoint::Dispatcher& serve, const FrameMaker& make,
+                 const FrameSettler& settle);
+
+  // INVALIDATE of `session` (payload: aborted flag) to every peer in
+  // `peers` but ourselves, over fan_out. A peer that is (or is found) dead
+  // is skipped: its pages were revoked, its orphans reclaimed, and it must
+  // not wedge anyone else's teardown. `best_effort` callers (abort, cascade)
+  // log each failure and keep going, returning the last one.
+  Status invalidate_peers(SessionId session, const std::vector<SpaceId>& peers,
+                          bool aborted, bool parallel,
+                          const RpcEndpoint::Dispatcher& serve,
+                          bool best_effort);
+
+  // A request frame to `to` under a fresh seq, and the reply frame
+  // answering `req`.
+  Message request(MessageType type, SpaceId to, SessionId session);
+  static Message reply_to(const Message& req, MessageType type);
+
+  // The CALL builder and RETURN handler shared by call_raw and call_async:
+  // safe point, memory-op flush, travelling modified set, argument
+  // closures, marshalled args; then ship-state commit and incorporation of
+  // the returned modified set and closures.
+  Result<Message> build_call(SpaceId target, const std::string& proc,
+                             const ByteBuffer& args,
+                             std::span<const std::uint64_t> pointer_roots,
+                             std::vector<ShippedRecord>& shipped);
+  Result<ByteBuffer> finish_call(SpaceId target,
+                                 const std::vector<ShippedRecord>& shipped,
+                                 Result<Message> reply);
+  // Starts (or refreshes) `cache`'s lease on a source we just fetched from.
+  void renew_lease(CacheManager& cache, SpaceId source);
   // One endpoint pump step on the worker's normal stack (Future::get's
   // drive), followed by the deferred probe drain.
   Status pump_guarded(std::chrono::steady_clock::time_point deadline);
@@ -626,11 +665,11 @@ class Runtime final : public PageFetcher,
   Status flush_alloc_batches();
 
   // Appends the modified-set section for `dest` — legacy "count + graph
-  // payloads" or the MODIFIED_DELTA format when `dest` is capable. With
-  // `write_back` set, only objects homed at `dest` are considered and
-  // travelling home updates are excluded. `encoded` (optional) counts the
-  // objects actually written; `shipped` (optional) collects the records to
-  // commit after a successful transfer.
+  // payloads" or, while deltas are on in a uniform-arch world, the
+  // MODIFIED_DELTA format. With `write_back` set, only objects homed at
+  // `dest` are considered and travelling home updates are excluded.
+  // `encoded` (optional) counts the objects actually written; `shipped`
+  // (optional) collects the records to commit after a successful transfer.
   Status attach_modified_set(ByteBuffer& out, SpaceId dest,
                              bool write_back = false,
                              std::size_t* encoded = nullptr,
@@ -661,7 +700,8 @@ class Runtime final : public PageFetcher,
   // invalidation).
   void clear_ship_state();
 
-  Status send_error(SpaceId to, SessionId session, std::uint64_t seq, const Status& error);
+  // Answers request `req` with an ERROR carrying `error`.
+  Status send_error(const Message& req, const Status& error);
   static Status decode_error(Message& msg);
 
   SpaceId self_;
@@ -673,10 +713,9 @@ class Runtime final : public PageFetcher,
   HostTypeMap& host_types_;
   SimNetwork* sim_;
   std::function<std::vector<SpaceId>()> directory_;
-  std::function<std::uint32_t(SpaceId)> peer_caps_;
+  const std::atomic<bool>* uniform_arch_ = nullptr;  // owned by the World
   PointerRangeIndex pointer_index_;
   bool modified_deltas_enabled_ = true;
-  bool two_phase_writeback_enabled_ = true;
   bool parallel_commit_ = true;
 
   Mailbox mailbox_;

@@ -51,43 +51,16 @@ AddressSpace& World::create_space(const std::string& name, const ArchModel& arch
     for (const auto& s : spaces_) ids.push_back(s->id());
     return ids;
   };
-  // Capability advertisement is evaluated per send, so a later create_space
-  // with a foreign ArchModel retracts the arch-dependent capabilities
-  // world-wide.
-  auto peer_caps = [this](SpaceId) -> std::uint32_t {
-    std::uint32_t caps = 0;
-    if (options_.two_phase_writeback) caps |= kCapTwoPhaseWriteBack;
-    if (options_.trace_context) caps |= kCapTraceContext;
-    // Arbitration needs the staged commit: without two-phase write-back a
-    // home applies bytes before it could refuse them, so the capability is
-    // only advertised together (and world-uniformly, since the option is).
-    if (options_.multi_session && options_.two_phase_writeback) {
-      caps |= kCapMultiSession;
-    }
-    // Recovery worlds speak the incarnation wire extension and keep their
-    // write-backs self-contained (complete redo records for the home's
-    // log); peers key their fencing off this bit.
-    if (options_.recovery) caps |= kCapIncarnation;
-    if (options_.modified_deltas || options_.shm_payload) {
-      bool uniform_arch = true;
-      for (const auto& s : spaces_) {
-        if (!(s->runtime().arch() == spaces_.front()->runtime().arch())) {
-          uniform_arch = false;
-          break;
-        }
-      }
-      // Both capabilities ship sender-native layouts, so a single foreign
-      // ArchModel retracts them: delta offsets index the sender's layout,
-      // and an arena view hands the receiver the sender's raw encoding.
-      if (options_.modified_deltas && uniform_arch) caps |= kCapModifiedDelta;
-      if (options_.shm_payload && uniform_arch) caps |= kCapShmPayload;
-    }
-    return caps;
-  };
+  // Deltas and the shm lane ship sender-native layouts (delta offsets index
+  // the sender's layout; an arena view hands the receiver the sender's raw
+  // encoding), so a single foreign ArchModel turns both off world-wide from
+  // the next send on.
+  if (!spaces_.empty() && !(arch == spaces_.front()->runtime().arch())) {
+    uniform_arch_.store(false);
+  }
   spaces_.push_back(std::make_unique<AddressSpace>(
       id, name, arch, registry_, layouts_, host_types_, transport, sim_.get(),
-      options_.cache, std::move(directory), options_.timeouts,
-      std::move(peer_caps)));
+      options_.cache, std::move(directory), options_.timeouts));
   AddressSpace& space = *spaces_.back();
   if (options_.recovery) {
     recovery_logs_.push_back(std::make_unique<RecoveryLog>());
@@ -107,9 +80,9 @@ AddressSpace& World::create_space(const std::string& name, const ArchModel& arch
 void World::apply_runtime_config(AddressSpace& space) {
   Runtime& rt = space.runtime();
   if (options_.tracing) rt.set_tracing(true);
-  if (options_.multi_session && options_.two_phase_writeback) {
-    rt.set_multi_session(true);
-  }
+  if (options_.multi_session) rt.set_multi_session(true);
+  rt.set_modified_deltas(options_.modified_deltas);
+  rt.set_uniform_arch(&uniform_arch_);
   if (shm_arena_) rt.set_shm_arena(shm_arena_.get());
   if (options_.recovery) {
     const SpaceId id = space.id();

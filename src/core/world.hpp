@@ -8,6 +8,7 @@
 // loopback-socket hub).
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -40,46 +41,35 @@ struct WorldOptions {
   // Wraps the wire in a seedable FaultTransport decorator; arm it through
   // World::fault() to inject drop/duplicate/delay (soak and fault tests).
   bool fault_injection = false;
-  // Advertise the MODIFIED_DELTA capability so modified sets travel as
-  // byte-range deltas where possible. Effective only while every space in
-  // the world shares one architecture model (delta offsets are positions in
-  // the sender's local layout); mixed-arch worlds fall back to full graph
-  // payloads automatically.
+  // Modified sets travel as byte-range deltas where possible (every
+  // space's Runtime::set_modified_deltas). Effective only while every space
+  // in the world shares one architecture model (delta offsets are positions
+  // in the sender's local layout); mixed-arch worlds fall back to full
+  // graph payloads automatically.
   bool modified_deltas = true;
-  // Advertise the two-phase write-back capability: session end stages the
-  // modified set on every home (WB_PREPARE) and applies it only once all
-  // homes acked (WB_COMMIT), so a crash mid-commit leaves surviving homes
-  // all-committed or all-rolled-back. Works across mixed-arch worlds — the
-  // staged bytes reuse the existing modified-set formats.
-  bool two_phase_writeback = true;
-  // Advertise the trace-context wire extension (kCapTraceContext): messages
-  // may carry {trace_id, span_id, parent, hop} so spans link causally
-  // across spaces. Advertising costs nothing while tracing is off — the
-  // extension is only attached to messages sent while a span is open.
-  bool trace_context = true;
   // Record spans from the first message on. Defaults from the SRPC_TRACE
   // environment variable (any non-empty value but "0" enables); flip at
-  // runtime with set_tracing().
+  // runtime with set_tracing(). A message sent while a client span is open
+  // carries its trace context, so spans link causally across spaces.
   bool tracing = false;
   // Concurrent multi-session runtime: every space tracks many sessions at
   // once (SessionTable, per-session cache overlays) and homes arbitrate
-  // conflicting commits (ObjectLockTable + ConflictArbiter, wound-wait).
-  // Advertised as kCapMultiSession only together with two_phase_writeback —
-  // arbitration happens at WB_PREPARE, so it needs the staged commit.
+  // conflicting commits (ObjectLockTable + ConflictArbiter, wound-wait) at
+  // WB_PREPARE, whose write manifest this mode adds.
   bool multi_session = false;
-  // Zero-copy payload lane: the world owns one ShmArena and every space
-  // advertises kCapShmPayload, so payloads between same-architecture peers
-  // travel as refcounted arena views (20-byte descriptors on the wire)
-  // instead of marshalled bytes. Mixed-arch worlds retract the capability
-  // automatically, exactly like modified_deltas. Off by default: the lane
-  // changes wire-byte accounting, so it is opt-in per World.
+  // Zero-copy payload lane: the world owns one ShmArena, so payloads
+  // between spaces travel as refcounted arena views (20-byte descriptors on
+  // the wire) instead of marshalled bytes. Mixed-arch worlds fall back to
+  // the byte lane automatically, exactly like modified_deltas. Off by
+  // default: the lane changes wire-byte accounting, so it is opt-in per
+  // World.
   bool shm_payload = false;
   std::size_t shm_arena_bytes = 64ULL << 20;  // live-bytes budget of the arena
   // Space reincarnation: every space gets a world-owned RecoveryLog (the
   // in-memory stand-in for NVRAM — it survives the space's crash), an
-  // incarnation number carried in every frame (kCapIncarnation), and
-  // World::restart_space() brings a crashed space back: replay the log,
-  // announce REJOIN, fence stale traffic from the prior life.
+  // incarnation number carried in every frame, and World::restart_space()
+  // brings a crashed space back: replay the log, announce REJOIN, fence
+  // stale traffic from the prior life.
   bool recovery = false;
   // Checkpoint the heap into the recovery log every N session settlements
   // (0 = never; replay then walks the whole journal).
@@ -234,6 +224,10 @@ class World {
   std::unique_ptr<FaultTransport> fault_;
   std::unique_ptr<ShmArena> shm_arena_;
   std::vector<std::unique_ptr<AddressSpace>> spaces_;
+  // True while every space shares the first space's ArchModel; create_space
+  // clears it for good when a foreign arch joins. Runtimes read it on every
+  // send to gate deltas and the shm lane.
+  std::atomic<bool> uniform_arch_{true};
   // Indexed by SpaceId. Logs are world-owned so they survive their space's
   // crash; incarnations start at 1 (0 on the wire means "recovery off").
   std::vector<std::unique_ptr<RecoveryLog>> recovery_logs_;

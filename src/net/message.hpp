@@ -24,8 +24,6 @@ enum class MessageType : std::uint8_t {
   kFetchReply,     // graph payload filling the page (+ eager closure)
   kAllocBatch,     // batched extended_malloc/extended_free requests
   kAllocReply,     // home-assigned addresses for the batch
-  kWriteBack,      // session-end write-back of the modified data set
-  kWriteBackAck,
   kInvalidate,     // session-end multicast: drop all cached data
   kInvalidateAck,
   kDeref,          // fully-lazy baseline: dereference one long pointer
@@ -56,7 +54,7 @@ struct Message {
   // Incarnation fencing (PROTOCOL.md "Incarnations, fencing & rejoin"):
   // `incarnation` is the sender's current incarnation, `to_incarnation` the
   // sender's belief about the destination's. Zero means "not stamped"
-  // (legacy peer or recovery disabled) and is never fenced. Receivers drop
+  // (recovery disabled) and is never fenced. Receivers drop
   // any message whose stamps are below their own knowledge — a frame from a
   // crashed predecessor, or one addressed to it, must never be acted upon.
   std::uint32_t incarnation = 0;

@@ -111,7 +111,8 @@ void FlightRecorder::event(FlightEventKind kind, std::uint64_t ts_ns,
   e.arg = arg;
   e.session = session;
   const std::size_t n = std::min(note.size(), sizeof(e.note) - 1);
-  std::memcpy(e.note, note.data(), n);
+  // An empty view may carry a null data(), which memcpy must never see.
+  if (n > 0) std::memcpy(e.note, note.data(), n);
   e.note[n] = '\0';
   record(e);
 }

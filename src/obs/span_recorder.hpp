@@ -1,7 +1,7 @@
 // SpanRecorder — per-runtime causal span collection.
 //
 // A span covers one timed activity on the space's single worker thread: a
-// client roundtrip (guarded_roundtrip), serving an incoming request
+// client request (Runtime::issue_guarded), serving an incoming request
 // (dispatch), or a whole session. Spans nest on a stack; because the
 // runtime is one-active-thread (the paper's execution model — nested calls
 // and callbacks re-enter the same worker), the stack top at any moment IS

@@ -2,8 +2,8 @@
 // spaces so nested RPC / callback / fetch chains form one span tree.
 //
 // {trace_id, span_id, parent_span_id, hop} travel as a 28-byte wire
-// extension behind the frame header (rpc/wire.cpp), gated by the
-// kCapTraceContext capability bit so legacy peers never see it. A zero
+// extension behind the frame header (rpc/wire.cpp), attached to every
+// request sent under an open client span. A zero
 // trace_id means "no context attached"; retransmits of a request reuse
 // the original context verbatim, which is what keeps duplicate serves
 // siblings in one tree instead of forking a second one.

@@ -153,15 +153,15 @@ class RpcEndpoint {
 
   // Runs on every outbound message right before it hits the transport —
   // the single choke point all sends funnel through. The Runtime installs
-  // the shm-lane elevator here: for capable peers it publishes the payload
+  // the shm-lane elevator here: in a shm-lane world it publishes the payload
   // into the shared arena and replaces the bytes with a view descriptor
   // (net/shm_arena.hpp), falling back to the byte lane otherwise.
   using PayloadLane = std::function<void(Message&)>;
   void set_payload_lane(PayloadLane lane) { payload_lane_ = std::move(lane); }
 
   // Runs on every outbound message, before the payload lane. The Runtime
-  // installs the incarnation stamp here: frames toward recovery-capable
-  // peers carry {our incarnation, their believed incarnation}. Retransmits
+  // installs the incarnation stamp here: in a recovery world every frame
+  // carries {our incarnation, their believed incarnation}. Retransmits
   // re-enter prepare(), so a resend after the peer rejoined carries the
   // *updated* belief rather than the stamp frozen at issue time.
   using Stamp = std::function<void(Message&)>;

@@ -254,18 +254,6 @@ TEST_P(CrashCommitTest, PartitionBeforePrepareLeavesHomesUntouched) {
   expect_homes(kOldB, kOldC);
 }
 
-TEST_P(CrashCommitTest, LegacyToggleKeepsOneShotWriteBack) {
-  a_->run([&](Runtime& rt) {
-    rt.set_two_phase_writeback(false);
-    dirty_both_homes(rt);
-    ASSERT_TRUE(rt.end_session().is_ok());
-    EXPECT_EQ(rt.stats().wb_prepares, 0u);
-    EXPECT_EQ(rt.stats().wb_commits, 0u);
-    rt.set_two_phase_writeback(true);
-  });
-  expect_homes(kNewB, kNewC);
-}
-
 TEST_P(CrashCommitTest, DeadSpaceFailsFastAndRevokesCachedPages) {
   a_->run([&](Runtime& rt) {
     ASSERT_TRUE(rt.begin_session().is_ok());

@@ -9,6 +9,7 @@
 #include "core/cache_manager.hpp"
 #include "core/smart_rpc.hpp"
 #include "rpc/wire.hpp"
+#include "types/arch.hpp"
 #include "workload/list.hpp"
 #include "xdr/xdr_decoder.hpp"
 #include "xdr/xdr_encoder.hpp"
@@ -241,7 +242,51 @@ TEST_F(DeltaRuntimeTest, SparseUpdateShipsAsDelta) {
   EXPECT_LT(b_stats.delta_bytes_shipped, sizeof(Blob));
 }
 
-// Toggling the capability off forces the legacy full-image format.
+// One foreign-arch space anywhere in the world turns deltas off for every
+// send, host to host included: the sparse write that ships as a delta in a
+// uniform world travels as a full image, and the session still commits
+// through WB_PREPARE/WB_COMMIT.
+TEST(DeltaMixedArchTest, HostToHostUpdateShipsFullImageAndCommitsTwoPhase) {
+  for (const bool mixed : {false, true}) {
+    SCOPED_TRACE(mixed ? "mixed-arch world" : "uniform world");
+    World world(fast_world());
+    AddressSpace& a = world.create_space("A");
+    AddressSpace& b = world.create_space("B");
+    if (mixed) world.create_space("S", sparc32_arch());
+    auto blob_type = world.describe<Blob>("Blob");
+    blob_type.array_field("vals", &Blob::vals);
+    world.register_type(blob_type).status().check();
+
+    Blob* home = nullptr;
+    b.run([&](Runtime& rt) {
+      auto mem = rt.heap().allocate(rt.host_types().find<Blob>().value());
+      mem.status().check();
+      home = static_cast<Blob*>(mem.value());
+      for (int i = 0; i < 32; ++i) home->vals[i] = i;
+    });
+    b.bind("blob", [&](CallContext&) -> Blob* { return home; }).check();
+    a.run([&](Runtime& rt) {
+      Session session(rt);
+      auto blob = session.call<Blob*>(b.id(), "blob");
+      ASSERT_TRUE(blob.is_ok()) << blob.status().to_string();
+      blob.value()->vals[3] = 99;  // pending at session end
+      ASSERT_TRUE(session.end().is_ok());
+      EXPECT_EQ(rt.stats().wb_prepares, 1u);
+      EXPECT_EQ(rt.stats().wb_commits, 1u);
+      if (mixed) {
+        EXPECT_EQ(rt.stats().delta_bytes_shipped, 0u);
+      } else {
+        EXPECT_GT(rt.stats().delta_bytes_shipped, 0u);
+      }
+    });
+    const RuntimeStats b_stats = b.run([](Runtime& rt) { return rt.stats(); });
+    EXPECT_EQ(b_stats.wb_commits_served, 1u);
+    EXPECT_EQ(b.run([&](Runtime&) { return home->vals[3]; }), 99);
+    EXPECT_EQ(b.run([&](Runtime&) { return home->vals[4]; }), 4);
+  }
+}
+
+// Toggling deltas off forces the full-image format.
 TEST(DeltaDisabledTest, NoDeltaBytesWhenDisabled) {
   WorldOptions options;
   options.cost = CostModel::zero();

@@ -92,6 +92,21 @@ TEST(FlightRecorderTest, RingWrapsKeepingNewestOldestFirst) {
   }
 }
 
+// Session aborts record no note: the empty view (null data()) must be
+// stored as an empty string and rendered like any other event.
+TEST(FlightRecorderTest, EmptyNoteRecordsAndRenders) {
+  FlightRecorder fr(SpaceId{0}, "t", /*capacity=*/4);
+  fr.event(FlightEventKind::kSessionAbort, /*ts_ns=*/5, kInvalidSpaceId, {},
+           /*arg=*/0, /*session=*/9);
+  fr.event(FlightEventKind::kSessionAbort, /*ts_ns=*/6, kInvalidSpaceId,
+           std::string_view(), /*arg=*/0, /*session=*/10);
+  const std::vector<FlightEvent> events = fr.snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  for (const FlightEvent& e : events) EXPECT_STREQ(e.note, "");
+  EXPECT_EQ(events[1].session, 10u);
+  EXPECT_TRUE(contains(fr.dump("unit", /*now_ns=*/7), "SESSION_ABORT"));
+}
+
 TEST(FlightRecorderTest, DumpRendersRingAndFeedsSink) {
   FlightRecorder fr(SpaceId{3}, "black-box", /*capacity=*/8);
   fr.frame(FlightEventKind::kFrameSend, 10, /*msg_type=*/1, SpaceId{1},

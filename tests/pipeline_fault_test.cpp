@@ -291,6 +291,50 @@ TEST_F(PipelineFaultTest, PartitionDuringParallelPrepareRollsForward) {
   });
 }
 
+// Phase one with home C cut off, in both fan-out modes. Sequential: B's
+// prepare settles before C's is issued and C's failure stops the phase, so
+// D is never addressed and only B is rolled back. Parallel: every prepare
+// is issued before any settles and every issued one is settled, so B and D
+// both stage and both roll back.
+TEST_F(PipelineFaultTest, PrepareFanOutStopsWhenSequentialSettlesAllWhenParallel) {
+  const auto stats = [](AddressSpace* space) {
+    return space->run([](Runtime& rt) { return rt.stats(); });
+  };
+  for (const bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "parallel" : "sequential");
+    const RuntimeStats b0 = stats(b_);
+    const RuntimeStats d0 = stats(d_);
+    a_->run([&](Runtime& rt) {
+      // One attempt per request: a slow ack must not be retransmitted and
+      // served twice.
+      rt.set_timeouts(TimeoutConfig::aggressive(std::chrono::milliseconds(400),
+                                                std::chrono::milliseconds(400),
+                                                /*attempts=*/1));
+      rt.set_parallel_commit(parallel);
+      ASSERT_TRUE(rt.begin_session().is_ok());
+      Heads heads = fetch_heads(rt);
+      ASSERT_TRUE(prefetch_all(rt, heads).is_ok());
+      heads.b->value = 1000;
+      heads.c->value = 2000;
+      heads.d->value = 3000;
+      fault_->partition(2);
+      EXPECT_FALSE(rt.end_session().is_ok());
+      fault_->heal_all();
+      EXPECT_TRUE(rt.abort_session().is_ok());
+      rt.set_parallel_commit(true);
+      rt.set_timeouts(TimeoutConfig::aggressive());
+    });
+    const RuntimeStats b1 = stats(b_);
+    const RuntimeStats d1 = stats(d_);
+    const std::uint64_t d_staged = parallel ? 1 : 0;
+    EXPECT_EQ(b1.wb_prepares_served - b0.wb_prepares_served, 1u);
+    EXPECT_EQ(b1.wb_aborts_served - b0.wb_aborts_served, 1u);
+    EXPECT_EQ(d1.wb_prepares_served - d0.wb_prepares_served, d_staged);
+    EXPECT_EQ(d1.wb_aborts_served - d0.wb_aborts_served, d_staged);
+  }
+  expect_consistent({1, 2, 3});
+}
+
 // A home's process dies during the parallel prepare fan-out. The end fails
 // fast and bounded, the abort unwinds past the corpse, and the surviving
 // homes stay byte-identical to each other (both old or both new — never

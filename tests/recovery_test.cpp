@@ -489,70 +489,5 @@ INSTANTIATE_TEST_SUITE_P(ShipModes, RecoveryTest, ::testing::Bool(),
                            return info.param ? "Delta" : "FullImage";
                          });
 
-// Single-phase write-back (two_phase_writeback = false) has no
-// PREPARE/COMMIT records; the home must journal it anyway, or a crash
-// after the ack replays the heap back to the pre-write image.
-TEST(RecoverySinglePhaseTest, AckedWritebackSurvivesHomeCrash) {
-  WorldOptions options;
-  options.cost = CostModel::zero();
-  options.cache.closure_bytes = 0;
-  options.fault_injection = true;
-  options.timeouts = TimeoutConfig::aggressive();
-  options.two_phase_writeback = false;
-  options.recovery = true;
-  World world(options);
-  AddressSpace& a = world.create_space("A");
-  AddressSpace& b = world.create_space("B");
-  workload::register_list_type(world).status().check();
-
-  ListNode* head = nullptr;
-  b.run([&](Runtime& rt) {
-    auto built = workload::build_list(rt, 3, [](std::uint32_t i) {
-      return static_cast<std::int64_t>(10 + i);
-    });
-    built.status().check();
-    head = built.value();
-    rt.checkpoint_now();
-  });
-  auto bind = [&] {
-    b.bind("headB", [&](CallContext&) -> ListNode* { return head; }).check();
-    b.bind("sumB",
-           [&](CallContext&) -> std::int64_t { return workload::sum_list(head); })
-        .check();
-  };
-  bind();
-
-  a.run([&](Runtime& rt) {
-    ASSERT_TRUE(rt.begin_session().is_ok());
-    auto hb = typed_call<ListNode*>(rt, b.id(), "headB");
-    ASSERT_TRUE(hb.is_ok()) << hb.status().to_string();
-    ASSERT_TRUE(rt.prefetch(hb.value(), 1 << 16).is_ok());
-    hb.value()->value = 1000;
-    ASSERT_TRUE(rt.end_session().is_ok());
-  });
-  const std::vector<std::uint8_t> never_crashed = b.run([](Runtime& rt) {
-    RecoveryLog scratch;
-    scratch.checkpoint(rt.heap());
-    return scratch.snapshot().back().bytes;
-  });
-
-  world.fault()->crash_space(b.id());
-  ASSERT_TRUE(world.restart_space(b.id()).is_ok());
-  bind();
-  const std::vector<std::uint8_t> recovered = b.run([](Runtime& rt) {
-    RecoveryLog scratch;
-    scratch.checkpoint(rt.heap());
-    return scratch.snapshot().back().bytes;
-  });
-  EXPECT_EQ(recovered, never_crashed);
-  a.run([&](Runtime& rt) {
-    Session session(rt);
-    auto sum = typed_call<std::int64_t>(rt, b.id(), "sumB");
-    ASSERT_TRUE(sum.is_ok()) << sum.status().to_string();
-    EXPECT_EQ(sum.value(), 1000 + 11 + 12);
-    ASSERT_TRUE(session.end().is_ok());
-  });
-}
-
 }  // namespace
 }  // namespace srpc

@@ -105,7 +105,7 @@ struct LanePair {
     caller = &world.create_space("caller");
     callee = &world.create_space("callee");
     if (add_foreign_arch) {
-      // A single foreign-arch space retracts kCapShmPayload world-wide.
+      // A single foreign-arch space turns the lane off world-wide.
       world.create_space("legacy", sparc32_arch());
     }
     workload::register_list_type(world).status().check();
