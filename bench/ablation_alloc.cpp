@@ -114,6 +114,10 @@ Outcome run_strategy(AllocationStrategy strategy, std::uint64_t closure_bytes) {
     out.faults = static_cast<double>(walker.run([](Runtime& walker_rt) {
       return walker_rt.cache().stats().read_faults;
     }));
+    // One INVALIDATE at a time: in a parallel fan-out both peers charge the
+    // shared virtual clock in whatever order their threads run, and the
+    // latency section would differ from run to run.
+    rt.set_parallel_commit(false);
     session.end().check();
     robustness_total().add(rt.stats());
     robustness_total().add(walker.run([](Runtime& w) { return w.stats(); }));

@@ -65,4 +65,6 @@ ctest --test-dir "${BUILD}" --output-on-failure -L pipeline -LE fault
 # copy-on-write are exactly what ASan/LSan (leaked pins) and TSan
 # (cross-thread release of the last view) exist to check.
 ctest --test-dir "${BUILD}" --output-on-failure -L shm
-ctest --test-dir "${BUILD}" --output-on-failure -LE "fault|obs|pipeline|shm" "$@"
+# The golden virtual rows are left out: they check figures, not memory or
+# races, and a sanitizer's slowdown buys nothing there.
+ctest --test-dir "${BUILD}" --output-on-failure -LE "fault|obs|pipeline|shm|golden" "$@"
