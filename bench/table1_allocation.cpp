@@ -61,6 +61,8 @@ void print_paper_table() {
     // Print the callee's data allocation table (the paper's Table 1).
     std::vector<std::vector<double>> rows;
     callee.run([&](Runtime& callee_rt) {
+      // The table belongs to the session; this task is not serving it.
+      Runtime::ScopedSession pin(callee_rt, session.id());
       std::printf("\n=== Table 1: the callee's data allocation table ===\n");
       std::printf("%8s %18s   %s\n", "page #", "offset within page", "long pointer");
       const auto& table = callee_rt.cache().table();

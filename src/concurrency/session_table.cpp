@@ -1,7 +1,5 @@
 #include "concurrency/session_table.hpp"
 
-#include <algorithm>
-
 namespace srpc {
 
 SessionState& SessionTable::open(SessionId id) {
@@ -9,6 +7,7 @@ SessionState& SessionTable::open(SessionId id) {
   if (it == states_.end()) {
     auto state = std::make_unique<SessionState>();
     state->id = id;
+    state->pages.owner = id;
     it = states_.emplace(id, std::move(state)).first;
   }
   return *it->second;
@@ -25,13 +24,5 @@ const SessionState* SessionTable::find(SessionId id) const {
 }
 
 bool SessionTable::close(SessionId id) { return states_.erase(id) > 0; }
-
-std::vector<SessionId> SessionTable::ids() const {
-  std::vector<SessionId> out;
-  out.reserve(states_.size());
-  for (const auto& [id, state] : states_) out.push_back(id);
-  std::sort(out.begin(), out.end());
-  return out;
-}
 
 }  // namespace srpc

@@ -1,17 +1,17 @@
-// SessionTable — per-runtime bookkeeping for concurrent RPC sessions.
+// SessionTable — per-runtime bookkeeping for the RPC sessions a space
+// takes part in, in both session modes.
 //
-// The single-session runtime kept one scalar of each piece of session
-// state (the travelling modified set, home twins, ship records, the session
-// span). SessionTable generalises that to many sessions in flight at once:
-// one SessionState per session id, holding everything the runtime used to
-// keep in scalars plus the per-session cache overlay that gives each
-// session its own extended address space.
+// One SessionState per session id holds everything the space keeps for
+// that session: the travelling modified set, home twins, ship records, the
+// session span, the peers it touched, its pages of the space's one cache
+// (data allocation table, overlays, allocation chains) and its pending
+// extended_malloc/extended_free batches. Sessionless traffic (kNoSession)
+// is one more owner.
 //
-// States are created lazily at two tiers: serving any message of a session
-// creates a bare state (sets, ship records — cheap), while the cache and
-// allocator only materialise when the session actually faults remote data
-// in or allocates remotely (a cache reserves a whole arena, so a home that
-// merely applies write-backs never pays for one).
+// A state is created the first time the space sees its session (beginning
+// it, or serving any of its messages) and closed when the session ends,
+// aborts or is invalidated here. Creating one is cheap: pages come from
+// the space's arena only when the session swizzles, faults or allocates.
 #pragma once
 
 #include <cstdint>
@@ -55,20 +55,15 @@ struct SessionState {
 
   SpanRecorder::Handle span = SpanRecorder::kNoSpan;  // session span (local)
 
-  // Peers this session exchanged requests with from here — the invalidation
-  // multicast tree: session end notifies exactly these, and each forwards
-  // to its own touched set.
+  // Peers this session exchanged requests with from here — the
+  // multi-session invalidation tree: session end notifies exactly these,
+  // and each forwards to its own touched set.
   std::unordered_set<SpaceId> touched;
 
-  // Per-session extended address space (lazily built, see file comment).
-  std::unique_ptr<CacheManager> cache;
-  std::unique_ptr<RemoteAllocator> allocator;
-
-  void clear_ship() {
-    ship.clear();
-    home_twins.clear();
-    ship_epoch = 0;
-  }
+  // The session's extended address space: its pages of the space's cache
+  // and its batched remote memory operations (paper §3.5).
+  SessionPages pages;
+  RemoteAllocator memory_ops;
 };
 
 class SessionTable {
@@ -80,11 +75,11 @@ class SessionTable {
   [[nodiscard]] SessionState* find(SessionId id);
   [[nodiscard]] const SessionState* find(SessionId id) const;
 
-  // Destroys the state (and its cache/allocator). Returns false if absent.
+  // Destroys the state; its pages must already be back in the arena
+  // (CacheManager::release). Returns false if absent.
   bool close(SessionId id);
 
   [[nodiscard]] std::size_t size() const noexcept { return states_.size(); }
-  [[nodiscard]] std::vector<SessionId> ids() const;
 
   template <typename F>
   void for_each(F&& fn) {

@@ -17,6 +17,9 @@ std::uint64_t align_up(std::uint64_t v, std::uint32_t align) noexcept {
 // Two differing runs separated by fewer equal bytes than this merge into
 // one wire range (each range costs 8 header bytes).
 constexpr std::uint32_t kDiffMergeGap = 8;
+
+// What table() shows for a session that holds nothing here.
+const DataAllocationTable kNoEntries;
 }  // namespace
 
 CacheManager::CacheManager(const TypeRegistry& registry, const LayoutEngine& layouts,
@@ -56,6 +59,22 @@ Status CacheManager::init() {
   return Status::ok();
 }
 
+const DataAllocationTable& CacheManager::table() const noexcept {
+  const SessionPages* sp = fetcher_.find_pages(fetcher_.current_session());
+  return sp != nullptr ? sp->table : kNoEntries;
+}
+
+const SessionPages* CacheManager::owner_pages(const void* addr) const {
+  const PageIndex page = arena_.page_of(addr);
+  if (page == kInvalidPage || pages_.state(page) == PageState::kEmpty) return nullptr;
+  return fetcher_.find_pages(pages_.info(page).owner);
+}
+
+const AllocationEntry* CacheManager::lookup_local(const void* addr) const {
+  const SessionPages* sp = owner_pages(addr);
+  return sp != nullptr ? sp->table.find_by_local(addr) : nullptr;
+}
+
 Status CacheManager::set_closure_bytes(std::uint64_t bytes) {
   if (bytes > options_.page_count * options_.page_size) {
     return invalid_argument(
@@ -80,7 +99,8 @@ Status CacheManager::make_writable(PageIndex page) {
   return Status::ok();
 }
 
-Result<AllocationEntry> CacheManager::place_on_chain(Cursor& cursor, PageKind kind,
+Result<AllocationEntry> CacheManager::place_on_chain(SessionPages& sp, PageIndex& cursor,
+                                                     PageKind kind,
                                                      const LongPointer& id,
                                                      std::uint64_t size,
                                                      std::uint32_t align,
@@ -93,20 +113,21 @@ Result<AllocationEntry> CacheManager::place_on_chain(Cursor& cursor, PageKind ki
   if (size > page_size) {
     // Large datum: an exclusive run of consecutive pages.
     const auto n = static_cast<std::uint32_t>((size + page_size - 1) / page_size);
-    auto first = pages_.grab(n, kind, origin);
+    auto first = pages_.grab(n, kind, origin, sp.owner);
     if (!first) return first.status();
     for (std::uint32_t i = 0; i < n; ++i) {
       pages_.info(first.value() + i).bump =
           static_cast<std::uint32_t>(page_size);  // exclusive: no co-tenants
+      sp.pages.push_back(first.value() + i);
     }
     entry.page = first.value();
     entry.offset = 0;
     entry.local = arena_.page_base(first.value());
-    SRPC_RETURN_IF_ERROR(table_.insert(entry, n));
+    SRPC_RETURN_IF_ERROR(sp.table.insert(entry, n));
     return entry;
   }
 
-  PageIndex page = cursor.page;
+  PageIndex page = cursor;
   std::uint64_t offset = 0;
   bool fits = false;
   if (page != kInvalidPage) {
@@ -117,41 +138,49 @@ Result<AllocationEntry> CacheManager::place_on_chain(Cursor& cursor, PageKind ki
     }
   }
   if (!fits) {
-    auto fresh = pages_.grab(1, kind, origin);
+    auto fresh = pages_.grab(1, kind, origin, sp.owner);
     if (!fresh) return fresh.status();
     page = fresh.value();
-    cursor.page = page;
+    sp.pages.push_back(page);
+    cursor = page;
     offset = 0;
   }
   pages_.info(page).bump = static_cast<std::uint32_t>(offset + size);
   entry.page = page;
   entry.offset = static_cast<std::uint32_t>(offset);
   entry.local = arena_.page_base(page) + offset;
-  SRPC_RETURN_IF_ERROR(table_.insert(entry, 1));
+  SRPC_RETURN_IF_ERROR(sp.table.insert(entry, 1));
   return entry;
 }
 
-Result<AllocationEntry> CacheManager::place_lazy(const LongPointer& id,
+Result<AllocationEntry> CacheManager::place_lazy(SessionPages& sp, const LongPointer& id,
                                                  std::uint64_t size,
                                                  std::uint32_t align) {
   const SpaceId origin = options_.strategy == AllocationStrategy::kClusterByOrigin
                              ? id.space
                              : kInvalidSpaceId;
-  return place_on_chain(lazy_cursors_[origin], PageKind::kLazy, id, size, align, origin);
+  auto cursor = sp.lazy_cursors.try_emplace(origin, kInvalidPage).first;
+  return place_on_chain(sp, cursor->second, PageKind::kLazy, id, size, align, origin);
 }
 
 Result<std::uint64_t> CacheManager::swizzle(const LongPointer& pointer, TypeId pointee) {
+  return swizzle_into(current(), pointer, pointee);
+}
+
+Result<std::uint64_t> CacheManager::swizzle_into(SessionPages& sp,
+                                                 const LongPointer& pointer,
+                                                 TypeId pointee) {
   if (pointer.is_null()) {
     return invalid_argument("swizzle of null long pointer");
   }
   if (pointer.space == self_) {
     return failed_precondition("swizzle of self-homed pointer reached the cache");
   }
-  if (const AllocationEntry* entry = table_.find(pointer)) {
+  if (const AllocationEntry* entry = sp.table.find(pointer)) {
     return reinterpret_cast<std::uint64_t>(entry->local);
   }
   if (const AllocationEntry* container =
-          table_.find_containing_home(pointer.space, pointer.address)) {
+          sp.table.find_containing_home(pointer.space, pointer.address)) {
     const std::uint64_t delta = pointer.address - container->pointer.address;
     return reinterpret_cast<std::uint64_t>(container->local) + delta;
   }
@@ -163,13 +192,13 @@ Result<std::uint64_t> CacheManager::swizzle(const LongPointer& pointer, TypeId p
   if (!layout) return layout.status();
   LongPointer id = pointer;
   id.type = type;
-  auto entry = place_lazy(id, layout.value()->size, layout.value()->align);
+  auto entry = place_lazy(sp, id, layout.value()->size, layout.value()->align);
   if (!entry) return entry.status();
   return reinterpret_cast<std::uint64_t>(entry.value().local);
 }
 
 Result<LongPointer> CacheManager::unswizzle(const void* addr) const {
-  const AllocationEntry* entry = table_.find_by_local(addr);
+  const AllocationEntry* entry = lookup_local(addr);
   if (entry == nullptr) {
     return not_found("unswizzle: address not in the data allocation table");
   }
@@ -200,8 +229,9 @@ bool CacheManager::is_resident(const void* addr) const {
 
 Result<void*> CacheManager::allocate_resident(const LongPointer& provisional,
                                               std::uint64_t size, std::uint32_t align) {
-  auto entry = place_on_chain(alloc_cursor_, PageKind::kAlloc, provisional, size, align,
-                              provisional.space);
+  SessionPages& sp = current();
+  auto entry = place_on_chain(sp, sp.alloc_cursor, PageKind::kAlloc, provisional, size,
+                              align, provisional.space);
   if (!entry) return entry.status();
   // Born resident and dirty: the creator will initialise it in place and the
   // value must travel with the modified data set.
@@ -213,6 +243,8 @@ Result<void*> CacheManager::allocate_resident(const LongPointer& provisional,
       SRPC_RETURN_IF_ERROR(arena_.protect(p, PageProtection::kReadWrite));
     }
   }
+  // A recycled page still holds whatever an earlier session left there.
+  std::memset(entry.value().local, 0, size);
   return static_cast<void*>(entry.value().local);
 }
 
@@ -235,13 +267,14 @@ bool CacheManager::on_fault(void* addr, FaultAccess access) {
       ++stats_.read_faults;
       // Every object already allocated to this page is data an eager
       // closure could have delivered but did not — we are faulting for it.
-      const std::size_t faulted_objects = table_.entries_on_page(page).size();
+      SessionPages& sp = fetcher_.pages_of(pages_.info(page).owner);
+      const std::size_t faulted_objects = sp.table.entries_on_page(page).size();
       stats_.closure_prefetch_misses += faulted_objects;
       if (telemetry_ != nullptr && telemetry_->tracing()) {
         telemetry_->annotate("read fault: page " + std::to_string(page) + ", " +
                              std::to_string(faulted_objects) + " objects");
       }
-      Status filled = fill_page(page, options_.closure_bytes);
+      Status filled = fill_page(sp, page, options_.closure_bytes);
       if (!filled.is_ok()) {
         SRPC_ERROR << "page fill failed: " << filled.to_string();
         return false;
@@ -275,14 +308,15 @@ bool CacheManager::on_fault(void* addr, FaultAccess access) {
   return false;
 }
 
-// Sink wiring one FETCH_REPLY payload into cache slots.
+// Sink wiring one FETCH_REPLY payload into the slots of the session whose
+// pages are being filled.
 class CacheManager::FillSink final : public GraphSink {
  public:
-  explicit FillSink(CacheManager& cache) : cache_(cache) {}
+  FillSink(CacheManager& cache, SessionPages& sp) : cache_(cache), sp_(sp) {}
 
   Result<void*> prepare(std::uint32_t index, const LongPointer& id) override {
     if (locals_.size() <= index) locals_.resize(index + 1, 0);
-    if (const AllocationEntry* entry = cache_.table_.find(id)) {
+    if (const AllocationEntry* entry = sp_.table.find(id)) {
       locals_[index] = reinterpret_cast<std::uint64_t>(entry->local);
       if (cache_.is_fill_open(entry->page)) {
         ++cache_.stats_.objects_filled;
@@ -297,7 +331,7 @@ class CacheManager::FillSink final : public GraphSink {
     // become resident when the fill completes.
     auto layout = cache_.layouts_.layout_of(cache_.arch_, id.type);
     if (!layout) return layout.status();
-    auto entry = cache_.place_on_chain(cache_.fill_cursor_, PageKind::kLazy, id,
+    auto entry = cache_.place_on_chain(sp_, cache_.fill_cursor_, PageKind::kLazy, id,
                                        layout.value()->size, layout.value()->align,
                                        id.space);
     if (!entry) return entry.status();
@@ -324,11 +358,12 @@ class CacheManager::FillSink final : public GraphSink {
     if (target.space == cache_.self_) {
       return cache_.fetcher_.swizzle_home(target, pointee);
     }
-    return cache_.swizzle(target, pointee);
+    return cache_.swizzle_into(sp_, target, pointee);
   }
 
  private:
   CacheManager& cache_;
+  SessionPages& sp_;
   std::vector<std::uint64_t> locals_;
 };
 
@@ -350,80 +385,92 @@ Status CacheManager::prefetch(const void* addr, std::uint64_t closure_budget) {
     return failed_precondition("prefetch of a page with no allocated data");
   }
   // A deliberate transfer, not an access violation: no fault cost.
-  return fill_page(page, closure_budget);
+  return fill_page(fetcher_.pages_of(pages_.info(page).owner), page, closure_budget);
 }
 
 Status CacheManager::prefetch_many(std::span<const void* const> addrs,
                                    const ParallelFetch& transfer) {
-  if (filling_) {
-    return internal_error("recursive page fill");
-  }
   // Resolve the fillable pages behind the addresses. Prefetch is advisory:
   // foreign, resident, and unallocated addresses are skipped, not errors.
   std::vector<PageIndex> fill_pages;
   for (const void* addr : addrs) {
     const PageIndex page = arena_.page_of(addr);
-    if (page == kInvalidPage) continue;
-    const PageState state = pages_.state(page);
-    if (state != PageState::kAllocated) continue;
+    if (page == kInvalidPage || pages_.state(page) != PageState::kAllocated) continue;
     if (std::find(fill_pages.begin(), fill_pages.end(), page) == fill_pages.end()) {
       fill_pages.push_back(page);
     }
   }
   if (fill_pages.empty()) return Status::ok();
+  return fill(fetcher_.pages_of(pages_.info(fill_pages[0]).owner), fill_pages,
+              transfer);
+}
 
+Status CacheManager::fill_page(SessionPages& sp, PageIndex page,
+                               std::uint64_t closure_budget) {
+  if (sp.table.entries_on_page(page).empty()) {
+    return failed_precondition("fault on page " + std::to_string(page) +
+                               " with no allocated data");
+  }
+  // One fetch per home space owning data on this page (the cluster
+  // strategy makes this a single round trip; kMixed may need several).
+  return fill(sp, std::span<const PageIndex>(&page, 1),
+              [&](std::vector<PrefetchGroup>& groups) -> Result<std::vector<ByteBuffer>> {
+                std::vector<ByteBuffer> replies;
+                for (const PrefetchGroup& group : groups) {
+                  auto reply =
+                      fetcher_.fetch(group.home, group.pointers, closure_budget, sp.owner);
+                  if (!reply) return reply.status();
+                  replies.push_back(std::move(reply).value());
+                }
+                return replies;
+              });
+}
+
+Status CacheManager::fill(SessionPages& sp, std::span<const PageIndex> pages,
+                          const ParallelFetch& transfer) {
+  if (filling_) {
+    return internal_error("recursive page fill");
+  }
   filling_ = true;
-  fill_cursor_ = Cursor{};
+  fill_cursor_ = kInvalidPage;
   fill_open_pages_.clear();
 
   // Open every requested page plus every page spanned by its entries — all
   // of them at once, so replies may land and fill in any order.
   Status result = Status::ok();
-  std::vector<const AllocationEntry*> wanted;
-  for (const PageIndex page : fill_pages) {
-    auto entries = table_.entries_on_page(page);
+  std::map<SpaceId, std::vector<LongPointer>> by_home;
+  std::unordered_set<const AllocationEntry*> wanted;
+  for (const PageIndex page : pages) {
+    const auto entries = sp.table.entries_on_page(page);
     if (entries.empty()) continue;
     if (result.is_ok()) result = make_writable(page);
     for (const AllocationEntry* e : entries) {
-      if (!result.is_ok()) break;
       const std::uint32_t span = pages_spanned(*e);
       for (std::uint32_t i = 0; i < span && result.is_ok(); ++i) {
         result = make_writable(e->page + i);
       }
-      if (std::find(wanted.begin(), wanted.end(), e) == wanted.end()) {
-        wanted.push_back(e);
-      }
+      if (wanted.insert(e).second) by_home[e->pointer.space].push_back(e->pointer);
     }
-    if (!result.is_ok()) break;
   }
   // Lazy cursors must stop pointing at pages that are about to turn
   // resident, or a later swizzle could hide an unfetched datum on them.
-  for (auto& [origin, cursor] : lazy_cursors_) {
-    if (cursor.page != kInvalidPage && is_fill_open(cursor.page)) {
-      cursor = Cursor{};
-    }
-  }
-
-  std::vector<PrefetchGroup> groups;
-  for (const AllocationEntry* e : wanted) {
-    auto it = std::find_if(groups.begin(), groups.end(), [&](const PrefetchGroup& g) {
-      return g.home == e->pointer.space;
-    });
-    if (it == groups.end()) {
-      groups.push_back(PrefetchGroup{e->pointer.space, {}});
-      it = std::prev(groups.end());
-    }
-    it->pointers.push_back(e->pointer);
+  for (auto& [origin, cursor] : sp.lazy_cursors) {
+    if (cursor != kInvalidPage && is_fill_open(cursor)) cursor = kInvalidPage;
   }
 
   if (result.is_ok()) {
+    std::vector<PrefetchGroup> groups;
+    for (auto& [home, pointers] : by_home) {
+      groups.push_back(PrefetchGroup{home, std::move(pointers)});
+    }
     stats_.fetches += groups.size();
     auto replies = transfer(groups);
     if (!replies) {
       result = replies.status();
     } else {
-      // Same reply shape as the fault path: each FETCH_REPLY is
-      // "count u32 | count x graph payload".
+      // A FETCH_REPLY is "count u32 | count x graph payload": the home may
+      // group its closure by several origin spaces (its own heap plus data
+      // it holds resident for third spaces).
       for (ByteBuffer& payload : replies.value()) {
         xdr::Decoder dec(payload);
         auto count = dec.get_u32();
@@ -432,7 +479,7 @@ Status CacheManager::prefetch_many(std::span<const void* const> addrs,
           break;
         }
         for (std::uint32_t i = 0; i < count.value() && result.is_ok(); ++i) {
-          FillSink sink(*this);
+          FillSink sink(*this, sp);
           result = decode_graph_payload(codec_, arch_, payload, sink);
         }
         if (!result.is_ok()) break;
@@ -442,100 +489,25 @@ Status CacheManager::prefetch_many(std::span<const void* const> addrs,
 
   if (result.is_ok()) {
     ++stats_.fills;
-    result = finish_fill_pages();
+    result = finish_fill_pages(sp);
   }
 
   filling_ = false;
   fill_open_pages_.clear();
-  fill_cursor_ = Cursor{};
+  fill_cursor_ = kInvalidPage;
   return result;
 }
 
-Status CacheManager::fill_page(PageIndex page, std::uint64_t closure_budget) {
-  if (filling_) {
-    return internal_error("recursive page fill");
-  }
-  auto entries = table_.entries_on_page(page);
-  if (entries.empty()) {
-    return failed_precondition("fault on page " + std::to_string(page) +
-                               " with no allocated data");
-  }
-
-  filling_ = true;
-  fill_cursor_ = Cursor{};
-  fill_open_pages_.clear();
-
-  Status result = Status::ok();
-  // Open the faulted page and every page spanned by its entries.
-  result = make_writable(page);
-  for (const AllocationEntry* e : entries) {
-    if (!result.is_ok()) break;
-    const std::uint32_t span = pages_spanned(*e);
-    for (std::uint32_t i = 0; i < span && result.is_ok(); ++i) {
-      result = make_writable(e->page + i);
-    }
-  }
-
-  // Lazy cursors must stop pointing at pages that are about to turn
-  // resident, or a later swizzle could hide an unfetched datum on them.
-  for (auto& [origin, cursor] : lazy_cursors_) {
-    if (cursor.page != kInvalidPage && is_fill_open(cursor.page)) {
-      cursor = Cursor{};
-    }
-  }
-
-  // One fetch per home space owning data on this page (the cluster
-  // strategy makes this a single round trip; kMixed may need several).
-  std::map<SpaceId, std::vector<LongPointer>> by_home;
-  for (const AllocationEntry* e : entries) {
-    by_home[e->pointer.space].push_back(e->pointer);
-  }
-  if (result.is_ok()) {
-    for (auto& [home, pointers] : by_home) {
-      ++stats_.fetches;
-      auto reply = fetcher_.fetch(home, pointers, closure_budget, session_);
-      if (!reply) {
-        result = reply.status();
-        break;
-      }
-      // A FETCH_REPLY is "count u32 | count x graph payload": the home may
-      // group its closure by several origin spaces (its own heap plus data
-      // it holds resident for third spaces).
-      xdr::Decoder dec(reply.value());
-      auto count = dec.get_u32();
-      if (!count) {
-        result = count.status();
-        break;
-      }
-      for (std::uint32_t i = 0; i < count.value() && result.is_ok(); ++i) {
-        FillSink sink(*this);
-        result = decode_graph_payload(codec_, arch_, reply.value(), sink);
-      }
-      if (!result.is_ok()) break;
-    }
-  }
-
-  if (result.is_ok()) {
-    ++stats_.fills;
-    result = finish_fill_pages();
-  }
-
-  filling_ = false;
-  fill_open_pages_.clear();
-  fill_cursor_ = Cursor{};
-  return result;
-}
-
-Status CacheManager::finish_fill_pages() {
+Status CacheManager::finish_fill_pages(SessionPages& sp) {
   // Apply pending overlays first. The freshly fetched content is the
   // coherent baseline, so every page an overlaid entry spans gets its twin
   // snapshotted *before* the overlay bytes land — that keeps the overlay in
   // the delta the next collect_modified_deltas() emits.
   std::unordered_set<PageIndex> dirtied;
   for (const PageIndex p : fill_open_pages_) {
-    for (const AllocationEntry* e : table_.entries_on_page(p)) {
-      auto overlay = overlays_.find(e);
-      if (overlay == overlays_.end()) continue;
+    for (const AllocationEntry* e : sp.table.entries_on_page(p)) {
+      auto overlay = sp.overlays.find(e);
+      if (overlay == sp.overlays.end()) continue;
       const std::uint32_t span = pages_spanned(*e);
       for (std::uint32_t i = 0; i < span; ++i) {
         const PageIndex q = e->page + i;
@@ -548,7 +520,7 @@ Status CacheManager::finish_fill_pages() {
         std::memcpy(e->local + r.offset, overlay->second.bytes.data() + r.offset,
                     r.len);
       }
-      overlays_.erase(overlay);
+      sp.overlays.erase(overlay);
     }
   }
   // Seal and protect every opened page.
@@ -566,19 +538,20 @@ Status CacheManager::incorporate_clean_payload(ByteBuffer& payload) {
   if (filling_) {
     return internal_error("incorporate_clean_payload during a fill");
   }
+  SessionPages& sp = current();
   filling_ = true;
-  fill_cursor_ = Cursor{};
+  fill_cursor_ = kInvalidPage;
   fill_open_pages_.clear();
 
-  FillSink sink(*this);
+  FillSink sink(*this, sp);
   Status result = decode_graph_payload(codec_, arch_, payload, sink);
   if (result.is_ok()) {
-    result = finish_fill_pages();
+    result = finish_fill_pages(sp);
   }
 
   filling_ = false;
   fill_open_pages_.clear();
-  fill_cursor_ = Cursor{};
+  fill_cursor_ = kInvalidPage;
   return result;
 }
 
@@ -588,18 +561,8 @@ Status CacheManager::incorporate_clean_payload(ByteBuffer& payload) {
 
 std::vector<CacheManager::ModifiedObject> CacheManager::collect_modified() const {
   std::vector<ModifiedObject> out;
-  std::unordered_set<const AllocationEntry*> seen;
-  for (const PageIndex p : pages_.pages_in_state(PageState::kDirty)) {
-    for (const AllocationEntry* e : table_.entries_on_page(p)) {
-      if (seen.insert(e).second) {
-        out.push_back({e->pointer, e->local});
-      }
-    }
-  }
-  for (const auto& [entry, overlay] : overlays_) {
-    if (seen.insert(entry).second) {
-      out.push_back({entry->pointer, overlay.bytes.data()});
-    }
+  for (const ModifiedDatum& d : collect_modified_deltas()) {
+    out.push_back({d.id, d.image});
   }
   return out;
 }
@@ -627,54 +590,56 @@ bool CacheManager::diff_entry(const AllocationEntry& entry,
   return true;
 }
 
+CacheManager::ModifiedDatum CacheManager::page_datum(const AllocationEntry& entry) const {
+  ModifiedDatum d;
+  d.id = entry.pointer;
+  d.image = entry.local;
+  d.size = entry.size;
+  d.has_baseline = diff_entry(entry, d.dirty);
+  if (!d.has_baseline) d.dirty.clear();
+  return d;
+}
+
+CacheManager::ModifiedDatum CacheManager::overlay_datum(
+    const AllocationEntry& entry, const SessionPages::Overlay& overlay) {
+  ModifiedDatum d;
+  d.id = entry.pointer;
+  d.image = overlay.bytes.data();
+  d.size = entry.size;
+  d.has_baseline = true;  // only the received ranges are meaningful
+  d.complete = overlay.valid.size() == 1 && overlay.valid[0].offset == 0 &&
+               overlay.valid[0].len == entry.size;
+  d.dirty = overlay.valid;
+  return d;
+}
+
 std::vector<CacheManager::ModifiedDatum> CacheManager::collect_modified_deltas()
     const {
   std::vector<ModifiedDatum> out;
+  const SessionPages* sp = fetcher_.find_pages(fetcher_.current_session());
+  if (sp == nullptr) return out;
   std::unordered_set<const AllocationEntry*> seen;
-  for (const PageIndex p : pages_.pages_in_state(PageState::kDirty)) {
-    for (const AllocationEntry* e : table_.entries_on_page(p)) {
-      if (!seen.insert(e).second) continue;
-      ModifiedDatum d;
-      d.id = e->pointer;
-      d.image = e->local;
-      d.size = e->size;
-      d.has_baseline = diff_entry(*e, d.dirty);
-      if (!d.has_baseline) d.dirty.clear();
-      out.push_back(std::move(d));
+  for (const PageIndex p : sp->pages) {
+    if (pages_.state(p) != PageState::kDirty) continue;
+    for (const AllocationEntry* e : sp->table.entries_on_page(p)) {
+      if (seen.insert(e).second) out.push_back(page_datum(*e));
     }
   }
-  for (const auto& [entry, overlay] : overlays_) {
-    if (!seen.insert(entry).second) continue;
-    ModifiedDatum d;
-    d.id = entry->pointer;
-    d.image = overlay.bytes.data();
-    d.size = entry->size;
-    d.has_baseline = true;  // only the received ranges are meaningful
-    d.complete = overlay.valid.size() == 1 && overlay.valid[0].offset == 0 &&
-                 overlay.valid[0].len == entry->size;
-    d.dirty = overlay.valid;
-    out.push_back(std::move(d));
+  for (const auto& [entry, overlay] : sp->overlays) {
+    if (seen.insert(entry).second) out.push_back(overlay_datum(*entry, overlay));
   }
   return out;
 }
 
 Result<CacheManager::ModifiedDatum> CacheManager::modified_datum(
     const LongPointer& id) const {
-  const AllocationEntry* entry = table_.find(id);
+  const SessionPages* sp = fetcher_.find_pages(fetcher_.current_session());
+  const AllocationEntry* entry = sp != nullptr ? sp->table.find(id) : nullptr;
   if (entry == nullptr) {
     return not_found("modified_datum: " + id.to_string());
   }
-  if (auto overlay = overlays_.find(entry); overlay != overlays_.end()) {
-    ModifiedDatum d;
-    d.id = entry->pointer;
-    d.image = overlay->second.bytes.data();
-    d.size = entry->size;
-    d.has_baseline = true;
-    d.complete = overlay->second.valid.size() == 1 &&
-                 overlay->second.valid[0].offset == 0 &&
-                 overlay->second.valid[0].len == entry->size;
-    d.dirty = overlay->second.valid;
-    return d;
+  if (auto overlay = sp->overlays.find(entry); overlay != sp->overlays.end()) {
+    return overlay_datum(*entry, overlay->second);
   }
   bool on_dirty_page = false;
   const std::uint32_t span = pages_spanned(*entry);
@@ -684,13 +649,7 @@ Result<CacheManager::ModifiedDatum> CacheManager::modified_datum(
   if (!on_dirty_page) {
     return not_found("modified_datum: " + id.to_string() + " not modified");
   }
-  ModifiedDatum d;
-  d.id = entry->pointer;
-  d.image = entry->local;
-  d.size = entry->size;
-  d.has_baseline = diff_entry(*entry, d.dirty);
-  if (!d.has_baseline) d.dirty.clear();
-  return d;
+  return page_datum(*entry);
 }
 
 Status CacheManager::dirty_spanned_pages(const AllocationEntry& entry) {
@@ -709,19 +668,24 @@ Status CacheManager::dirty_spanned_pages(const AllocationEntry& entry) {
   return Status::ok();
 }
 
-Result<void*> CacheManager::prepare_incoming_dirty(const LongPointer& id) {
-  const AllocationEntry* entry = table_.find(id);
-  if (entry == nullptr) {
-    const TypeId type = id.type;
-    if (type == kInvalidTypeId) {
-      return invalid_argument("incoming dirty datum with no type: " + id.to_string());
-    }
-    auto layout = layouts_.layout_of(arch_, type);
-    if (!layout) return layout.status();
-    auto placed = place_lazy(id, layout.value()->size, layout.value()->align);
-    if (!placed) return placed.status();
-    entry = table_.find(id);
+Result<const AllocationEntry*> CacheManager::incoming_entry(SessionPages& sp,
+                                                            const LongPointer& id) {
+  if (const AllocationEntry* entry = sp.table.find(id)) return entry;
+  if (id.type == kInvalidTypeId) {
+    return invalid_argument("incoming modified datum with no type: " + id.to_string());
   }
+  auto layout = layouts_.layout_of(arch_, id.type);
+  if (!layout) return layout.status();
+  auto placed = place_lazy(sp, id, layout.value()->size, layout.value()->align);
+  if (!placed) return placed.status();
+  return sp.table.find(id);
+}
+
+Result<void*> CacheManager::prepare_incoming_dirty(const LongPointer& id) {
+  SessionPages& sp = current();
+  auto found = incoming_entry(sp, id);
+  if (!found) return found.status();
+  const AllocationEntry* entry = found.value();
   if (is_resident(entry->local)) {
     // Overwrite in place; the page joins the modified data set.
     SRPC_RETURN_IF_ERROR(dirty_spanned_pages(*entry));
@@ -730,7 +694,7 @@ Result<void*> CacheManager::prepare_incoming_dirty(const LongPointer& id) {
   // Not resident: hold the value as an overlay, applied when (and if) the
   // page is filled; collect_modified() forwards it meanwhile. A full image
   // arrives, so the whole overlay is valid.
-  Overlay& overlay = overlays_[entry];
+  SessionPages::Overlay& overlay = sp.overlays[entry];
   overlay.bytes.assign(entry->size, 0);
   overlay.valid.assign(1, ByteRange{0, entry->size});
   return static_cast<void*>(overlay.bytes.data());
@@ -739,18 +703,10 @@ Result<void*> CacheManager::prepare_incoming_dirty(const LongPointer& id) {
 Status CacheManager::apply_incoming_delta(const LongPointer& id,
                                           std::span<const ByteRange> ranges,
                                           const std::uint8_t* bytes) {
-  const AllocationEntry* entry = table_.find(id);
-  if (entry == nullptr) {
-    const TypeId type = id.type;
-    if (type == kInvalidTypeId) {
-      return invalid_argument("incoming delta with no type: " + id.to_string());
-    }
-    auto layout = layouts_.layout_of(arch_, type);
-    if (!layout) return layout.status();
-    auto placed = place_lazy(id, layout.value()->size, layout.value()->align);
-    if (!placed) return placed.status();
-    entry = table_.find(id);
-  }
+  SessionPages& sp = current();
+  auto found = incoming_entry(sp, id);
+  if (!found) return found.status();
+  const AllocationEntry* entry = found.value();
   if (!ranges.empty() && ranges.back().end() > entry->size) {
     return protocol_error("delta range past the end of " + id.to_string());
   }
@@ -765,7 +721,7 @@ Status CacheManager::apply_incoming_delta(const LongPointer& id,
   }
   // Non-resident: accumulate on the overlay and remember which ranges are
   // real, so a later fill only applies received bytes over fetched content.
-  Overlay& overlay = overlays_[entry];
+  SessionPages::Overlay& overlay = sp.overlays[entry];
   if (overlay.bytes.size() != entry->size) {
     overlay.bytes.assign(entry->size, 0);
     overlay.valid.clear();
@@ -816,15 +772,6 @@ std::size_t CacheManager::revoke_source(SpaceId source) {
   for (const PageIndex p : revoked) {
     (void)arena_.protect(p, PageProtection::kNone);
   }
-  for (auto it = overlays_.begin(); it != overlays_.end();) {
-    if (it->first->pointer.space == source) {
-      it = overlays_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // A fresh chain starts if the source ever comes back in a later session.
-  lazy_cursors_.erase(source);
   // The lease ends with the data: a later fetch from the source (should it
   // turn out alive after all) starts a fresh one under a higher epoch.
   auto lit = leases_.find(source);
@@ -835,20 +782,30 @@ std::size_t CacheManager::revoke_source(SpaceId source) {
   return revoked.size();
 }
 
-void CacheManager::invalidate_all() {
-  if (pages_.used() > 0) {
-    (void)set_protection(arena_.base(), pages_.used() * arena_.page_size(),
+void CacheManager::forget_source(SessionPages& sp, SpaceId source) {
+  std::erase_if(sp.overlays,
+                [source](const auto& o) { return o.first->pointer.space == source; });
+  // A fresh chain starts if the source ever comes back.
+  sp.lazy_cursors.erase(source);
+}
+
+void CacheManager::release(SessionPages& sp) {
+  // Re-protect the session's pages in runs of consecutive indexes (a lone
+  // session's pages are one run), then hand them back.
+  std::sort(sp.pages.begin(), sp.pages.end());
+  for (std::size_t i = 0; i < sp.pages.size();) {
+    std::size_t j = i + 1;
+    while (j < sp.pages.size() && sp.pages[j] == sp.pages[j - 1] + 1) ++j;
+    (void)set_protection(arena_.page_base(sp.pages[i]), (j - i) * arena_.page_size(),
                          PageProtection::kNone);
+    i = j;
   }
-  table_.clear();
-  overlays_.clear();
-  pages_.reset();
-  lazy_cursors_.clear();
-  leases_.clear();
-  alloc_cursor_ = Cursor{};
-  fill_cursor_ = Cursor{};
-  fill_open_pages_.clear();
-  filling_ = false;
+  for (const PageIndex p : sp.pages) pages_.release(p);
+  sp.table.clear();
+  sp.overlays.clear();
+  sp.lazy_cursors.clear();
+  sp.alloc_cursor = kInvalidPage;
+  sp.pages.clear();
 }
 
 }  // namespace srpc

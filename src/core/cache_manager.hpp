@@ -12,6 +12,22 @@
 //     (§3.4); extended_malloc'd objects live on born-resident alloc pages
 //     (§3.5).
 //
+// A space has exactly one CacheManager: one arena, one fault range
+// (registered once by init()), and the space-wide closure budget,
+// allocation strategy, leases and counters. A session is an owner tag on
+// the pages it is handed (paper §3.1 limits a swizzled pointer to its
+// session): its data allocation table, overlays and allocation chains live
+// in a SessionPages the runtime keeps in the session's state, a fault
+// finds its session from the faulting page's owner, no page ever holds two
+// sessions' data, and release() returns a session's pages to the arena.
+// CacheOptions::page_count therefore bounds every concurrent session of
+// the space together; a session that needs a page the arena no longer has
+// gets RESOURCE_EXHAUSTED.
+//
+// Operations on a cache address act on that page's owner. Operations that
+// name no owner act on the session the PageFetcher reports as current (the
+// runtime's pinned session).
+//
 // Threading: every method runs on the owning space's worker thread (the
 // RPC model has a single active thread per session), so there is no
 // internal locking. on_fault() is entered from the SIGSEGV handler on that
@@ -50,15 +66,34 @@ enum class AllocationStrategy : std::uint8_t {
   kMixed,
 };
 
-// The runtime side of a fault: how the cache reaches the network.
-// fetch() runs on the faulting thread, possibly inside the signal handler.
+// What one session holds in its space's cache: the pages it was handed,
+// the data allocation table over them, values waiting for a fill, and its
+// allocation chains.
+struct SessionPages {
+  // A pending value for a non-resident slot. `valid` records which byte
+  // ranges of `bytes` were actually received (a delta can populate an
+  // overlay partially); only those are copied onto the page at fill time.
+  struct Overlay {
+    std::vector<std::uint8_t> bytes;
+    std::vector<ByteRange> valid;  // merged
+  };
+
+  SessionId owner = kNoSession;
+  DataAllocationTable table;
+  std::unordered_map<const AllocationEntry*, Overlay> overlays;
+  std::unordered_map<SpaceId, PageIndex> lazy_cursors;  // one chain per origin
+  PageIndex alloc_cursor = kInvalidPage;  // born-resident (extended_malloc) chain
+  std::vector<PageIndex> pages;           // every page handed to this session
+};
+
+// The runtime side of the cache: how it reaches the network and where each
+// session's pages live. fetch() runs on the faulting thread, possibly
+// inside the signal handler.
 class PageFetcher {
  public:
   virtual ~PageFetcher() = default;
-  // Requests `pointers` (all homed at `home`); returns the FETCH_REPLY's
-  // graph payload bytes. `session` is the RPC session this cache serves
-  // (kNoSession from the runtime's default cache — the fetch then rides
-  // whatever session is current).
+  // Requests `pointers` (all homed at `home`) for the owner of the pages
+  // being filled; returns the FETCH_REPLY's graph payload bytes.
   virtual Result<ByteBuffer> fetch(SpaceId home, std::span<const LongPointer> pointers,
                                    std::uint64_t closure_budget,
                                    SessionId session) = 0;
@@ -69,10 +104,16 @@ class PageFetcher {
   // heap address. Only called with pointer.space == this space.
   virtual Result<std::uint64_t> swizzle_home(const LongPointer& pointer,
                                              TypeId pointee) = 0;
+  // The session an operation that names no owner acts on.
+  [[nodiscard]] virtual SessionId current_session() const noexcept = 0;
+  // The pages `owner` holds here, created on first use.
+  virtual SessionPages& pages_of(SessionId owner) = 0;
+  // Null when `owner` holds nothing here.
+  [[nodiscard]] virtual const SessionPages* find_pages(SessionId owner) const = 0;
 };
 
 struct CacheOptions {
-  std::size_t page_count = 16384;  // 64 MiB of 4 KiB pages
+  std::size_t page_count = 16384;  // 64 MiB of 4 KiB pages, for all sessions
   std::size_t page_size = 4096;    // the paper's SunOS/SPARC page size
   AllocationStrategy strategy = AllocationStrategy::kClusterByOrigin;
   std::uint64_t closure_bytes = 8192;  // eager transfer budget per fetch (§3.3)
@@ -118,30 +159,34 @@ class CacheManager final : public FaultHandler {
   Result<LongPointer> unswizzle(const void* addr) const;
 
   [[nodiscard]] const AllocationEntry* lookup(const LongPointer& pointer) const {
-    return table_.find(pointer);
+    return table().find(pointer);
   }
-  [[nodiscard]] const AllocationEntry* lookup_local(const void* addr) const {
-    return table_.find_by_local(addr);
-  }
+  [[nodiscard]] const AllocationEntry* lookup_local(const void* addr) const;
   [[nodiscard]] bool contains(const void* addr) const { return arena_.contains(addr); }
+  // The session whose page holds `addr` (an address inside the arena).
+  [[nodiscard]] SessionId owner_of(const void* addr) const {
+    return pages_.info(arena_.page_of(addr)).owner;
+  }
 
   // True if `addr` lies on a resident (readable) page.
   [[nodiscard]] bool is_resident(const void* addr) const;
 
   // --- extended_malloc support (paper §3.5) -------------------------------
 
-  // Allocates a born-resident, born-dirty location for a locally created
-  // remote object under a provisional identity.
+  // Allocates a zeroed, born-resident, born-dirty location for a locally
+  // created remote object under a provisional identity.
   Result<void*> allocate_resident(const LongPointer& provisional, std::uint64_t size,
                                   std::uint32_t align);
 
   // Re-keys a provisional identity to the home-assigned address.
   Status rebind(const LongPointer& provisional, const LongPointer& actual) {
-    return table_.rebind(provisional, actual);
+    return current().table.rebind(provisional, actual);
   }
 
   // Drops a cached entry (extended_free).
-  Status remove_entry(const LongPointer& pointer) { return table_.remove(pointer); }
+  Status remove_entry(const LongPointer& pointer) {
+    return current().table.remove(pointer);
+  }
 
   // --- fault path ----------------------------------------------------------
 
@@ -158,8 +203,8 @@ class CacheManager final : public FaultHandler {
   // the data is already resident.
   Status prefetch(const void* addr, std::uint64_t closure_budget);
 
-  // One per-home request set produced by prefetch_many: every wanted
-  // pointer homed at `home`, to be answered by one FETCH_REPLY payload.
+  // One per-home request set of a fill: every wanted pointer homed at
+  // `home`, to be answered by one FETCH_REPLY payload.
   struct PrefetchGroup {
     SpaceId home = 0;
     std::vector<LongPointer> pointers;
@@ -171,11 +216,12 @@ class CacheManager final : public FaultHandler {
       std::vector<PrefetchGroup>& groups)>;
 
   // Pipelined twin of prefetch(): opens every fillable page behind `addrs`
-  // in one fill, groups the wanted entries by home space, and hands the
-  // whole request set to `transfer` so the per-home FETCH frames overlap on
-  // the wire instead of paying one round trip each. Foreign, resident, and
-  // empty addresses are skipped (prefetch is advisory). All replies are
-  // incorporated into the open pages before the fill seals.
+  // (all owned by one session) in one fill, groups the wanted entries by
+  // home space, and hands the whole request set to `transfer` so the
+  // per-home FETCH frames overlap on the wire instead of paying one round
+  // trip each. Foreign, resident, and empty addresses are skipped
+  // (prefetch is advisory). All replies are incorporated into the open
+  // pages before the fill seals.
   Status prefetch_many(std::span<const void* const> addrs,
                        const ParallelFetch& transfer);
 
@@ -188,7 +234,7 @@ class CacheManager final : public FaultHandler {
 
   // The modified data set: every entry on a dirty page plus every pending
   // overlay. Ids are home identities; images stay valid until the next
-  // cache mutation. The page scan stops at the used bound.
+  // cache mutation.
   [[nodiscard]] std::vector<ModifiedObject> collect_modified() const;
 
   // One modified object with sub-page dirty information. `dirty` holds the
@@ -253,43 +299,41 @@ class CacheManager final : public FaultHandler {
   [[nodiscard]] std::vector<SpaceId> lapsed_sources(std::uint64_t vnow_ns,
                                                     std::uint64_t ttl_ns) const;
 
-  // Revokes every resident lazy page clustered to `source`: the page is
-  // re-protected and demoted to kAllocated (its bytes are discarded; the
-  // table entries stay so a later touch re-faults through the fetch path,
-  // which reports the peer's health as a typed error). Pending overlays for
-  // data homed at `source` are dropped and its lease ends (a later renewal
-  // starts a fresh lease under a higher epoch). Returns the number of pages
-  // revoked. Pages holding data from several homes (kMixed strategy) and
+  // Revokes every resident lazy page clustered to `source`, whichever
+  // session owns it: the page is re-protected and demoted to kAllocated
+  // (its bytes are discarded; the table entries stay so a later touch
+  // re-faults through the fetch path, which reports the peer's health as a
+  // typed error), and the source's lease ends (a later renewal starts a
+  // fresh lease under a higher epoch). Returns the number of pages revoked.
+  // Pages holding data from several homes (kMixed strategy) and
   // born-resident alloc pages are left alone — they contain local or
-  // third-party bytes that are still valid.
+  // third-party bytes that are still valid. forget_source() drops one
+  // session's pending overlays for the source's data.
   std::size_t revoke_source(SpaceId source);
+  void forget_source(SessionPages& pages, SpaceId source);
 
   // --- session teardown -----------------------------------------------------
 
-  // Drops every cached datum and re-protects the used pages (session-end
-  // invalidation, paper §3.4). Costs O(pages used), not O(arena).
-  void invalidate_all();
+  // Drops every datum `pages` holds, re-protects its pages and returns them
+  // to the arena (session-end invalidation, paper §3.4). Costs O(pages the
+  // session held), not O(arena).
+  void release(SessionPages& pages);
 
   // --- introspection ---------------------------------------------------------
 
+  // Space-wide counters (every session's faults and fills).
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = CacheStats{}; }
   // Optional observability sink (owned by the Runtime): fault and fill
   // annotations land on whatever span is open when the MMU fires.
   void set_telemetry(Telemetry* telemetry) noexcept { telemetry_ = telemetry; }
-  // The session this cache is an overlay for (kNoSession for a runtime's
-  // shared default cache). Stamped on every fetch the fault path issues.
-  void set_session(SessionId id) noexcept { session_ = id; }
-  [[nodiscard]] SessionId session() const noexcept { return session_; }
-  [[nodiscard]] const DataAllocationTable& table() const noexcept { return table_; }
+  // The current session's data allocation table (empty if it holds none).
+  [[nodiscard]] const DataAllocationTable& table() const noexcept;
   [[nodiscard]] const PageArena& arena() const noexcept { return arena_; }
   [[nodiscard]] PageState page_state(PageIndex page) const { return pages_.state(page); }
-  // Pages below this bound are the only ones a session has used since the
-  // last invalidate_all(); every page above it is kEmpty.
+  // Pages below this bound are the only ones any session holds; every page
+  // above it is kEmpty.
   [[nodiscard]] std::size_t pages_used() const noexcept { return pages_.used(); }
-  [[nodiscard]] bool page_has_twin(PageIndex page) const {
-    return pages_.has_twin(page);
-  }
   [[nodiscard]] std::uint64_t closure_bytes() const noexcept {
     return options_.closure_bytes;
   }
@@ -299,28 +343,42 @@ class CacheManager final : public FaultHandler {
   Status set_closure_bytes(std::uint64_t bytes);
 
  private:
-  struct Cursor {
-    PageIndex page = kInvalidPage;
-  };
+  [[nodiscard]] SessionPages& current() {
+    return fetcher_.pages_of(fetcher_.current_session());
+  }
+  // The owner's pages of the page holding `addr`; null outside the arena or
+  // on a page no session holds.
+  [[nodiscard]] const SessionPages* owner_pages(const void* addr) const;
 
-  // Places `size` bytes for `origin` on a lazy chain (PROT_NONE pages).
-  Result<AllocationEntry> place_lazy(const LongPointer& id, std::uint64_t size,
-                                     std::uint32_t align);
+  // Places `size` bytes for `id` on the session's lazy chain for its origin
+  // (PROT_NONE pages).
+  Result<AllocationEntry> place_lazy(SessionPages& sp, const LongPointer& id,
+                                     std::uint64_t size, std::uint32_t align);
 
-  // Places `size` bytes on writable pages during a fill or for a resident
-  // allocation; `cursor` selects the chain. Fresh pages come from the page
-  // table's used bound (PageTable::grab); the arena is session-lifetime and
-  // invalidate_all() recycles it.
-  Result<AllocationEntry> place_on_chain(Cursor& cursor, PageKind kind,
-                                         const LongPointer& id, std::uint64_t size,
-                                         std::uint32_t align, SpaceId origin);
+  // Places `size` bytes on the session's pages during a fill or for a
+  // resident allocation; `cursor` selects the chain. Fresh pages come from
+  // the page table (PageTable::grab) tagged with the session.
+  Result<AllocationEntry> place_on_chain(SessionPages& sp, PageIndex& cursor,
+                                         PageKind kind, const LongPointer& id,
+                                         std::uint64_t size, std::uint32_t align,
+                                         SpaceId origin);
+
+  Result<std::uint64_t> swizzle_into(SessionPages& sp, const LongPointer& pointer,
+                                     TypeId pointee);
+  // The entry an incoming modified object lands on, placed if unknown.
+  Result<const AllocationEntry*> incoming_entry(SessionPages& sp,
+                                                const LongPointer& id);
 
   // Fetches and fills the faulted page (and any prefetch pages the closure
   // creates), requesting `closure_budget` bytes of eager transfer.
-  Status fill_page(PageIndex page, std::uint64_t closure_budget);
+  Status fill_page(SessionPages& sp, PageIndex page, std::uint64_t closure_budget);
+  // Opens `pages` and every page their entries span, hands one request set
+  // per home to `transfer`, incorporates the replies, and seals.
+  Status fill(SessionPages& sp, std::span<const PageIndex> pages,
+              const ParallelFetch& transfer);
 
   // Seals, protects, and overlays every page opened by the current fill.
-  Status finish_fill_pages();
+  Status finish_fill_pages(SessionPages& sp);
 
   Status make_writable(PageIndex page);
   // Clean -> dirty for every resident page `entry` spans, snapshotting each
@@ -329,6 +387,10 @@ class CacheManager final : public FaultHandler {
   // Appends the ranges of `entry`'s image differing from the spanned pages'
   // twins. False if a spanned dirty page has no twin (born-dirty data).
   bool diff_entry(const AllocationEntry& entry, std::vector<ByteRange>& out) const;
+  // The datum of an entry on a dirty page, and of a pending overlay.
+  ModifiedDatum page_datum(const AllocationEntry& entry) const;
+  static ModifiedDatum overlay_datum(const AllocationEntry& entry,
+                                     const SessionPages::Overlay& overlay);
   [[nodiscard]] bool is_fill_open(PageIndex page) const;
   std::uint32_t pages_spanned(const AllocationEntry& e) const;
 
@@ -343,30 +405,19 @@ class CacheManager final : public FaultHandler {
   CacheOptions options_;
   PageFetcher& fetcher_;
 
-  // A pending value for a non-resident slot. `valid` records which byte
-  // ranges of `bytes` were actually received (a delta can populate an
-  // overlay partially); only those are copied onto the page at fill time.
-  struct Overlay {
-    std::vector<std::uint8_t> bytes;
-    std::vector<ByteRange> valid;  // merged
-  };
-
   PageArena arena_;
-  PageTable pages_;  // owns the used-page bound: fresh pages, scans, reset
-  DataAllocationTable table_;
-  std::unordered_map<const AllocationEntry*, Overlay> overlays_;
+  PageTable pages_;  // every session's pages: states, owners, the used bound
 
-  std::unordered_map<SpaceId, Cursor> lazy_cursors_;
   std::unordered_map<SpaceId, SourceLease> leases_;
   // Next lease epoch per revoked source, so generations never repeat.
   std::unordered_map<SpaceId, std::uint64_t> lease_epoch_floor_;
-  Cursor alloc_cursor_;       // born-resident (extended_malloc) chain
-  Cursor fill_cursor_;        // prefetch-extras chain, valid during a fill
+  // One fill at a time per space: fills never nest (the fetch awaits only
+  // its own reply), whichever session owns the pages.
+  PageIndex fill_cursor_ = kInvalidPage;  // prefetch-extras chain of the fill
   bool filling_ = false;
   std::vector<PageIndex> fill_open_pages_;  // writable during the current fill
 
   bool registered_ = false;
-  SessionId session_ = kNoSession;
   CacheStats stats_;
   Telemetry* telemetry_ = nullptr;
 };

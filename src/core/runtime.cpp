@@ -57,11 +57,9 @@ Runtime::Runtime(SpaceId self, std::string name, const ArchModel& arch,
       endpoint_(self, transport, mailbox_),
       heap_(registry, layouts, arch, self),
       cache_(registry, layouts, arch, self, cache_options, *this),
-      allocator_(cache_),
       packer_(codec_, arch, *this),
       timeouts_(timeouts),
-      telemetry_(self, name_),
-      cache_options_(cache_options) {
+      telemetry_(self, name_) {
   full_dispatcher_ = [this](Message msg) { return dispatch(std::move(msg)); };
   if (sim_ != nullptr) {
     telemetry_.set_clock([this] { return vnow_ns(); });
@@ -121,85 +119,33 @@ void Runtime::elevate_payload(Message& msg) {
 }
 
 // ---------------------------------------------------------------------------
-// Session-state resolution (multi-session mode)
+// Session state
 // ---------------------------------------------------------------------------
 
-SessionState& Runtime::state_for(SessionId id) {
-  if (!multi_session_ || id == kNoSession) return ambient_state_;
-  SessionState& st = sessions_.open(id);
-  if (st.id == kNoSession) st.id = id;
-  return st;
-}
-
-const SessionState& Runtime::cur_state() const {
-  const SessionId id = current_session();
-  if (!multi_session_ || id == kNoSession) return ambient_state_;
-  const SessionState* st = sessions_.find(id);
-  return st != nullptr ? *st : ambient_state_;
-}
-
-CacheManager& Runtime::cache_for(SessionId id) {
-  if (!multi_session_ || id == kNoSession) return cache_;
-  SessionState& st = state_for(id);
-  if (!st.cache) {
-    st.cache = std::make_unique<CacheManager>(registry_, layouts_, arch_, self_,
-                                              cache_options_, *this);
-    st.cache->set_telemetry(&telemetry_);
-    st.cache->set_session(id);
-    // Arena reservation failing is an OOM-class condition; fail loudly
-    // rather than silently sharing the default cache across sessions.
-    st.cache->init().check();
-    st.allocator = std::make_unique<RemoteAllocator>(*st.cache);
+void Runtime::close_session(SessionId id) {
+  if (SessionState* st = sessions_.find(id)) {
+    cache_.release(st->pages);
+    sessions_.close(id);
   }
-  return *st.cache;
+  if (id != kNoSession && session_ == id) {
+    session_ = kNoSession;
+    telemetry_.tracer().set_session(current_session());
+  }
+  if (id != kNoSession && active_sessions() == 0) close_session(kNoSession);
 }
 
-RemoteAllocator& Runtime::allocator_for(SessionId id) {
-  if (!multi_session_ || id == kNoSession) return allocator_;
-  (void)cache_for(id);  // materialises the allocator alongside the cache
-  return *state_for(id).allocator;
-}
-
-CacheManager& Runtime::cache() { return cache_for(current_session()); }
-
-const CacheManager& Runtime::cache() const {
-  const SessionId id = current_session();
-  if (!multi_session_ || id == kNoSession) return cache_;
-  const SessionState* st = sessions_.find(id);
-  return (st != nullptr && st->cache) ? *st->cache : cache_;
-}
-
-CacheManager* Runtime::cache_owning(const void* p) {
-  if (cache_.contains(p)) return &cache_;
-  CacheManager* owner = nullptr;
-  sessions_.for_each([&](SessionState& st) {
-    if (owner == nullptr && st.cache && st.cache->contains(p)) {
-      owner = st.cache.get();
-    }
-  });
-  return owner;
-}
-
-const CacheManager* Runtime::cache_owning(const void* p) const {
-  if (cache_.contains(p)) return &cache_;
-  const CacheManager* owner = nullptr;
+bool Runtime::held_by_other_session(SessionId id) const {
+  bool held = false;
   sessions_.for_each([&](const SessionState& st) {
-    if (owner == nullptr && st.cache && st.cache->contains(p)) {
-      owner = st.cache.get();
-    }
+    held = held || (st.id != id && st.id != kNoSession &&
+                    (st.pages.table.size() > 0 || !st.updates.empty()));
   });
-  return owner;
+  return held;
 }
 
-RemoteAllocator* Runtime::allocator_of(const CacheManager* cache) {
-  if (cache == &cache_) return &allocator_;
-  RemoteAllocator* owner = nullptr;
-  sessions_.for_each([&](SessionState& st) {
-    if (owner == nullptr && st.cache.get() == cache) {
-      owner = st.allocator.get();
-    }
-  });
-  return owner;
+std::size_t Runtime::revoke_source(SpaceId source) {
+  sessions_.for_each([&](SessionState& st) { cache_.forget_source(st.pages, source); });
+  return cache_.revoke_source(source);
 }
 
 // ---------------------------------------------------------------------------
@@ -208,9 +154,7 @@ RemoteAllocator* Runtime::allocator_of(const CacheManager* cache) {
 
 Result<LongPointer> Runtime::unswizzle(std::uint64_t ordinary, TypeId pointee) {
   const void* addr = reinterpret_cast<const void*>(ordinary);
-  if (const CacheManager* owner = cache_owning(addr)) {
-    return owner->unswizzle(addr);
-  }
+  if (cache_.contains(addr)) return cache_.unswizzle(addr);
   const ManagedHeap::Record* record = heap_.find(addr);
   if (record == nullptr) {
     return invalid_argument(
@@ -244,7 +188,7 @@ Result<std::uint64_t> Runtime::swizzle(const LongPointer& pointer, TypeId pointe
     }
     return pointer.address;
   }
-  return cache().swizzle(pointer, pointee);
+  return cache_.swizzle(pointer, pointee);
 }
 
 Result<std::uint64_t> Runtime::swizzle_home(const LongPointer& pointer, TypeId pointee) {
@@ -256,14 +200,14 @@ Result<std::uint64_t> Runtime::swizzle_home(const LongPointer& pointer, TypeId p
 
 Result<LocalDataView::DatumView> Runtime::view_local(std::uint64_t local_addr) const {
   const void* addr = reinterpret_cast<const void*>(local_addr);
-  if (const CacheManager* owner = cache_owning(addr)) {
-    const AllocationEntry* entry = owner->lookup_local(addr);
+  if (cache_.contains(addr)) {
+    const AllocationEntry* entry = cache_.lookup_local(addr);
     if (entry == nullptr) {
       return not_found("cache address with no allocation entry");
     }
     DatumView view;
     view.id = entry->pointer;
-    view.image = owner->is_resident(entry->local) ? entry->local : nullptr;
+    view.image = cache_.is_resident(entry->local) ? entry->local : nullptr;
     return view;
   }
   const ManagedHeap::Record* record = heap_.find(addr);
@@ -349,14 +293,14 @@ void Runtime::note_home_update(const LongPointer& id) {
 }
 
 CacheManager::ModifiedDatum Runtime::home_modified_datum(
-    const LongPointer& id, const ManagedHeap::Record& record) const {
+    const SessionState& st, const LongPointer& id,
+    const ManagedHeap::Record& record) const {
   CacheManager::ModifiedDatum d;
   d.id = LongPointer{self_, id.address, record.type};
   d.image = record.base;
   d.size = static_cast<std::uint32_t>(record.size);
-  const auto& home_twins = cur_state().home_twins;
-  const auto twin = home_twins.find(id);
-  if (twin != home_twins.end() && twin->second.size() == record.size) {
+  const auto twin = st.home_twins.find(id);
+  if (twin != st.home_twins.end() && twin->second.size() == record.size) {
     d.has_baseline = true;
     diff_ranges(record.base, twin->second.data(),
                 static_cast<std::uint32_t>(record.size), 0,
@@ -364,8 +308,6 @@ CacheManager::ModifiedDatum Runtime::home_modified_datum(
   }
   return d;
 }
-
-void Runtime::clear_ship_state() { cur_state().clear_ship(); }
 
 void Runtime::commit_shipped(SpaceId dest,
                              const std::vector<ShippedRecord>& shipped) {
@@ -394,7 +336,7 @@ Status Runtime::attach_modified_set(ByteBuffer& out, SpaceId dest,
     // baseline diffing, no cross-hop suppression.
     std::map<SpaceId, std::vector<GraphObjectRef>> groups;
     std::size_t emitted = 0;
-    for (const auto& m : cache().collect_modified()) {
+    for (const auto& m : cache_.collect_modified()) {
       if (write_back && m.id.space != dest) continue;
       if (is_provisional_address(m.id.address)) {
         return internal_error("provisional identity in modified set: " +
@@ -431,7 +373,7 @@ Status Runtime::attach_modified_set(ByteBuffer& out, SpaceId dest,
   // write-back mode, where every datum is already expressed against its
   // home) our own home data that remote activity modified this session.
   std::vector<CacheManager::ModifiedDatum> candidates;
-  for (auto& d : cache().collect_modified_deltas()) {
+  for (auto& d : cache_.collect_modified_deltas()) {
     if (write_back && d.id.space != dest) continue;
     candidates.push_back(std::move(d));
   }
@@ -442,7 +384,7 @@ Status Runtime::attach_modified_set(ByteBuffer& out, SpaceId dest,
         it = sst.updates.erase(it);  // freed since: drop from the set
         continue;
       }
-      candidates.push_back(home_modified_datum(*it, *record));
+      candidates.push_back(home_modified_datum(sst, *it, *record));
       ++it;
     }
   }
@@ -566,7 +508,8 @@ Status Runtime::attach_modified_set(ByteBuffer& out, SpaceId dest,
 
 void Runtime::observe_incoming(const LongPointer& id, SpaceId from,
                                std::uint64_t epoch) {
-  ShipState& st = cur_state().ship[id];
+  SessionState& sst = cur_state();
+  ShipState& st = sst.ship[id];
   if (epoch > st.epoch) st.epoch = epoch;
   // Fingerprint our own post-application image the same way
   // attach_modified_set() will, and credit `from` with it: the sender knows
@@ -575,9 +518,9 @@ void Runtime::observe_incoming(const LongPointer& id, SpaceId from,
   if (id.space == self_) {
     const ManagedHeap::Record* record = heap_.find_base(id.address);
     if (record == nullptr) return;  // dropped (freed at home)
-    d = home_modified_datum(id, *record);
+    d = home_modified_datum(sst, id, *record);
   } else {
-    auto datum = cache().modified_datum(id);
+    auto datum = cache_.modified_datum(id);
     if (!datum) return;  // e.g. skipped object that never landed
     d = std::move(datum).value();
   }
@@ -616,7 +559,7 @@ Status Runtime::apply_delta_entry(const ModifiedDelta& delta) {
     }
     return Status::ok();
   }
-  return cache().apply_incoming_delta(delta.id, delta.ranges, delta.bytes.data());
+  return cache_.apply_incoming_delta(delta.id, delta.ranges, delta.bytes.data());
 }
 
 Status Runtime::apply_modified_set(ByteBuffer& in, SpaceId from) {
@@ -665,7 +608,7 @@ Status Runtime::attach_closures(ByteBuffer& out, std::span<const std::uint64_t> 
     enc.put_u32(0);
     return Status::ok();
   }
-  auto packed = packer_.pack(roots, cache().closure_bytes(), /*require_roots=*/false);
+  auto packed = packer_.pack(roots, cache_.closure_bytes(), /*require_roots=*/false);
   if (!packed) return packed.status();
   enc.put_u32(static_cast<std::uint32_t>(packed.value().groups.size()));
   for (const auto& [space, refs] : packed.value().groups) {
@@ -680,7 +623,7 @@ Status Runtime::apply_closures(ByteBuffer& in) {
   auto count = dec.get_u32();
   if (!count) return count.status();
   for (std::uint32_t i = 0; i < count.value(); ++i) {
-    SRPC_RETURN_IF_ERROR(cache().incorporate_clean_payload(in));
+    SRPC_RETURN_IF_ERROR(cache_.incorporate_clean_payload(in));
   }
   return Status::ok();
 }
@@ -769,24 +712,20 @@ Result<void*> Runtime::extended_malloc(SpaceId home, TypeId type, std::uint32_t 
   const TypeId full = count > 1 ? registry_.array_of(type, count) : type;
   auto layout = layouts_.layout_of(arch_, full);
   if (!layout) return layout.status();
-  return allocator_for(current_session())
-      .allocate(home, full, layout.value()->size, layout.value()->align);
+  return cur_state().memory_ops.allocate(cache_, home, full, layout.value()->size,
+                                         layout.value()->align);
 }
 
 Status Runtime::extended_free(void* p) {
   if (p == nullptr) return invalid_argument("extended_free(nullptr)");
-  if (CacheManager* owner = cache_owning(p)) {
-    const AllocationEntry* entry = owner->lookup_local(p);
-    if (entry == nullptr || entry->local != p) {
-      return invalid_argument("extended_free: not a datum base address");
-    }
-    RemoteAllocator* alloc = allocator_of(owner);
-    if (alloc == nullptr) {
-      return internal_error("cache without a paired allocator");
-    }
-    return alloc->release(entry->pointer);
+  if (!cache_.contains(p)) return heap_.free(p);
+  const AllocationEntry* entry = cache_.lookup_local(p);
+  if (entry == nullptr || entry->local != p) {
+    return invalid_argument("extended_free: not a datum base address");
   }
-  return heap_.free(p);
+  // The release lands in the batch of the session that owns the datum.
+  ScopedSession owner(*this, cache_.owner_of(p));
+  return cur_state().memory_ops.release(cache_, entry->pointer);
 }
 
 namespace {
@@ -822,39 +761,31 @@ void encode_fetch_frame(ByteBuffer& out, std::span<const LongPointer> pointers,
 
 Status Runtime::prefetch(const void* p, std::uint64_t closure_budget) {
   if (p == nullptr) return invalid_argument("prefetch(nullptr)");
-  CacheManager* owner = cache_owning(p);
-  if (owner == nullptr) return Status::ok();  // home data: already here
-  return owner->prefetch(p, closure_budget);
+  if (!cache_.contains(p)) return Status::ok();  // home data: already here
+  return cache_.prefetch(p, closure_budget);
 }
 
 Status Runtime::prefetch_many(std::span<const void* const> pointers,
                               std::uint64_t closure_budget) {
   poll_failures();
-  // Route each address to the cache that owns it (session overlays keep
-  // separate arenas); home data needs no prefetch.
-  std::vector<std::pair<CacheManager*, std::vector<const void*>>> per_cache;
+  // One fill per session owning some of the addresses (normally just the
+  // caller's); home data needs no prefetch.
+  std::vector<std::pair<SessionId, std::vector<const void*>>> per_owner;
   for (const void* p : pointers) {
-    if (p == nullptr) continue;
-    CacheManager* owner = cache_owning(p);
-    if (owner == nullptr) continue;
-    auto it = std::find_if(per_cache.begin(), per_cache.end(),
+    if (p == nullptr || !cache_.contains(p)) continue;
+    const SessionId owner = cache_.owner_of(p);
+    auto it = std::find_if(per_owner.begin(), per_owner.end(),
                            [&](const auto& e) { return e.first == owner; });
-    if (it == per_cache.end()) {
-      per_cache.push_back({owner, {}});
-      it = std::prev(per_cache.end());
-    }
+    if (it == per_owner.end()) it = per_owner.insert(per_owner.end(), {owner, {}});
     it->second.push_back(p);
   }
 
   Status failure = Status::ok();
-  for (auto& [owner, addrs] : per_cache) {
-    const SessionId sid =
-        owner->session() != kNoSession ? owner->session() : current_session();
-    Status filled = owner->prefetch_many(
-        std::span<const void* const>(addrs.data(), addrs.size()),
-        [&, owner_cache = owner](std::vector<CacheManager::PrefetchGroup>& groups)
-            -> Result<std::vector<ByteBuffer>> {
-          return parallel_fetch(*owner_cache, groups, closure_budget, sid);
+  for (auto& [owner, addrs] : per_owner) {
+    const SessionId sid = owner != kNoSession ? owner : current_session();
+    Status filled = cache_.prefetch_many(
+        addrs, [&](std::vector<CacheManager::PrefetchGroup>& groups) {
+          return parallel_fetch(groups, closure_budget, sid);
         });
     if (failure.is_ok() && !filled.is_ok()) failure = filled;
   }
@@ -862,13 +793,12 @@ Status Runtime::prefetch_many(std::span<const void* const> pointers,
 }
 
 Result<std::vector<ByteBuffer>> Runtime::parallel_fetch(
-    CacheManager& owner, std::vector<CacheManager::PrefetchGroup>& groups,
-    std::uint64_t closure_budget, SessionId session) {
+    std::vector<CacheManager::PrefetchGroup>& groups, std::uint64_t closure_budget,
+    SessionId session) {
   // Every frame ships before any reply is collected: the homes serve their
   // FETCHes concurrently, so the wall-clock cost is the slowest single
   // round trip instead of the sum. Restricted await (nullptr dispatcher)
-  // like the fault path: the owning cache is mid-fill and must not be
-  // re-entered.
+  // like the fault path: the cache is mid-fill and must not be re-entered.
   std::vector<ByteBuffer> replies(groups.size());
   Status fetched = fan_out(
       groups.size(), MessageType::kFetchReply, /*parallel=*/true, nullptr,
@@ -880,15 +810,15 @@ Result<std::vector<ByteBuffer>> Runtime::parallel_fetch(
       [&](std::size_t g, Result<Message> reply) {
         if (!reply) return reply.status();
         replies[g] = std::move(reply.value().payload);
-        renew_lease(owner, groups[g].home);
+        renew_lease(groups[g].home);
         return Status::ok();
       });
   if (!fetched.is_ok()) return fetched;
   return replies;
 }
 
-void Runtime::renew_lease(CacheManager& cache, SpaceId source) {
-  cache.renew_lease(source, vnow_ns());
+void Runtime::renew_lease(SpaceId source) {
+  cache_.renew_lease(source, vnow_ns());
   if (telemetry_.tracing()) {
     telemetry_.annotate("lease renewed: source " + std::to_string(source));
   }
@@ -896,17 +826,10 @@ void Runtime::renew_lease(CacheManager& cache, SpaceId source) {
 
 Status Runtime::flush_alloc_batches() {
   const SessionId session = current_session();
-  RemoteAllocator* allocator = &allocator_;
-  if (multi_session_ && session != kNoSession) {
-    // Only flush a session that actually allocated — resolving through
-    // allocator_for() here would materialise a cache for every session
-    // this space merely serves.
-    SessionState* st = sessions_.find(session);
-    if (st == nullptr || !st->allocator) return Status::ok();
-    allocator = st->allocator.get();
-  }
-  for (const SpaceId home : allocator->pending_homes()) {
-    RemoteAllocator::Batch batch = allocator->take_batch(home);
+  SessionState* st = sessions_.find(session);
+  if (st == nullptr) return Status::ok();
+  for (const SpaceId home : st->memory_ops.pending_homes()) {
+    RemoteAllocator::Batch batch = st->memory_ops.take_batch(home);
     Message msg = request(MessageType::kAllocBatch, home, session);
     xdr::Encoder enc(msg.payload);
     enc.put_u32(static_cast<std::uint32_t>(batch.allocs.size()));
@@ -935,7 +858,7 @@ Status Runtime::flush_alloc_batches() {
       if (!real) return real.status();
       assigned.emplace_back(prov.value(), real.value());
     }
-    SRPC_RETURN_IF_ERROR(allocator->apply_assignments(home, assigned));
+    SRPC_RETURN_IF_ERROR(st->memory_ops.apply_assignments(cache_, home, assigned));
   }
   return Status::ok();
 }
@@ -996,22 +919,7 @@ std::string Runtime::metrics_json() {
     set("recovery.log_records", recovery_->records());
     set("recovery.log_bytes", recovery_->bytes_logged());
   }
-  // Cache counters summed across the default cache and every live
-  // per-session overlay (an overlay's counters leave the sum when its
-  // session closes — sample before teardown for per-session numbers).
-  CacheStats cs = cache_.stats();
-  sessions_.for_each([&](const SessionState& st) {
-    if (!st.cache) return;
-    const CacheStats& s = st.cache->stats();
-    cs.read_faults += s.read_faults;
-    cs.write_faults += s.write_faults;
-    cs.fills += s.fills;
-    cs.fetches += s.fetches;
-    cs.objects_filled += s.objects_filled;
-    cs.objects_skipped += s.objects_skipped;
-    cs.closure_prefetch_hits += s.closure_prefetch_hits;
-    cs.closure_prefetch_misses += s.closure_prefetch_misses;
-  });
+  const CacheStats& cs = cache_.stats();
   set("cache.read_faults", cs.read_faults);
   set("cache.write_faults", cs.write_faults);
   set("cache.fills", cs.fills);
@@ -1114,8 +1022,8 @@ Result<std::uint64_t> Runtime::issue_guarded(
   const MessageType kind = msg.type;
   const SessionId msg_session = msg.session;
   const std::uint64_t seq = msg.seq;
-  if (multi_session_ && msg_session != kNoSession && peer != self_) {
-    // Remember who this session talked to from here: the session-end
+  if (msg_session != kNoSession && peer != self_) {
+    // Remember who this session talked to from here: the multi-session
     // invalidation multicasts to exactly this set (and each member forwards
     // to its own), instead of the whole world directory.
     if (SessionState* st = sessions_.find(msg_session)) st->touched.insert(peer);
@@ -1153,7 +1061,7 @@ Result<std::uint64_t> Runtime::issue_guarded(
   // by contract: telemetry, lease touch, promise fulfilment; probes are
   // deferred to drain_probes(). Any reply, ERROR included, is contact with
   // a live peer.
-  auto settle = [this, peer, span, start, kind, kind_label, msg_session,
+  auto settle = [this, peer, span, start, kind, kind_label,
                  promise](Result<Message>& reply) {
     const std::uint64_t end = telemetry_.now_ns();
     telemetry_.hist("rpc.roundtrip_ns", kind_label).record(end - start);
@@ -1165,14 +1073,7 @@ Result<std::uint64_t> Runtime::issue_guarded(
     }
     if (reply.is_ok()) {
       detector_.note_contact(peer, vnow_ns());
-      if (multi_session_ && msg_session != kNoSession) {
-        if (SessionState* st = sessions_.find(msg_session);
-            st != nullptr && st->cache) {
-          st->cache->touch_lease(peer, vnow_ns());
-        }
-      } else {
-        cache_.touch_lease(peer, vnow_ns());
-      }
+      cache_.touch_lease(peer, vnow_ns());
     } else {
       telemetry_.count("rpc.failures", kind_label);
       const StatusCode code = reply.status().code();
@@ -1318,8 +1219,7 @@ void Runtime::on_peer_dead(SpaceId peer) {
   ++stats_.peers_died;
   telemetry_.flight().event(FlightEventKind::kDetector, vnow_ns(), peer,
                             "declared dead");
-  std::size_t revoked = 0;
-  for_each_cache([&](CacheManager& c) { revoked += c.revoke_source(peer); });
+  const std::size_t revoked = revoke_source(peer);
   if (revoked > 0) {
     ++stats_.leases_expired;
     telemetry_.flight().event(FlightEventKind::kLeaseExpiry, vnow_ns(), peer,
@@ -1377,22 +1277,19 @@ void Runtime::poll_failures() {
   }
   if (lease_ttl_ns_ == 0 || sim_ == nullptr) return;
   const std::uint64_t now = vnow_ns();
-  for_each_cache([&](CacheManager& c) {
-    for (const SpaceId source : c.lapsed_sources(now, lease_ttl_ns_)) {
-      const std::size_t revoked = c.revoke_source(source);
-      ++stats_.leases_expired;
-      telemetry_.flight().event(FlightEventKind::kLeaseExpiry, now, source,
-                                "ttl lapsed",
-                                static_cast<std::int64_t>(revoked));
-      detector_.mark_suspect(source);
-      SRPC_WARN << name_ << ": lease on source space " << source
-                << " lapsed; revoked " << revoked << " cached pages";
-      if (telemetry_.tracing()) {
-        telemetry_.annotate("lease expired: source " + std::to_string(source) +
-                            ", revoked " + std::to_string(revoked) + " pages");
-      }
+  for (const SpaceId source : cache_.lapsed_sources(now, lease_ttl_ns_)) {
+    const std::size_t revoked = revoke_source(source);
+    ++stats_.leases_expired;
+    telemetry_.flight().event(FlightEventKind::kLeaseExpiry, now, source,
+                              "ttl lapsed", static_cast<std::int64_t>(revoked));
+    detector_.mark_suspect(source);
+    SRPC_WARN << name_ << ": lease on source space " << source
+              << " lapsed; revoked " << revoked << " cached pages";
+    if (telemetry_.tracing()) {
+      telemetry_.annotate("lease expired: source " + std::to_string(source) +
+                          ", revoked " + std::to_string(revoked) + " pages");
     }
-  });
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1543,7 +1440,7 @@ void Runtime::on_peer_rejoin(SpaceId peer, std::uint32_t incarnation,
             recovery_->note_commit(session, it->second.epoch);
           }
           (void)heap_.promote_session(session);
-          if (multi_session_) arbiter_.commit(session);
+          arbiter_.commit(session);
         } else {
           SRPC_ERROR << name_ << ": in-doubt commit of session " << session
                      << " failed: " << applied.to_string();
@@ -1552,7 +1449,7 @@ void Runtime::on_peer_rejoin(SpaceId peer, std::uint32_t incarnation,
         ++stats_.in_doubt_resolved_abort;
         const std::uint64_t reclaimed = heap_.reclaim_session(session);
         stats_.orphan_bytes_reclaimed += reclaimed;
-        if (multi_session_) arbiter_.release(session);
+        arbiter_.release(session);
       }
       tombstone_session(session);
       committed_epochs_.erase(session);
@@ -1579,24 +1476,22 @@ void Runtime::on_peer_rejoin(SpaceId peer, std::uint32_t incarnation,
     }
   }
 
-  // The scalar serving state may still be bound to one of the dead life's
-  // sessions — its INVALIDATE never arrived. Settle it like any dead
-  // session: the cached data and travelling updates die with it, and the
-  // binding frees so the successor's sessions can be served (without this
-  // the busy-cache refusal would fence the new life out forever). The
-  // session-id partition tells the lives apart: the implicit cleanup can
-  // run after the successor's own sessions started being served here, and
-  // those must survive.
-  if (!multi_session_ && cache_session_ != kNoSession &&
-      static_cast<SpaceId>(cache_session_ >> 32) == peer &&
-      (cache_session_ & 0xFFFFFFFFull) <
-          ((static_cast<std::uint64_t>(incarnation) - 1) << 24)) {
-    tombstone_session(cache_session_);
-    cache_.invalidate_all();
-    allocator_.clear();
-    ambient_state_.updates.clear();
-    ambient_state_.clear_ship();
-    cache_session_ = kNoSession;
+  // Sessions of the dead life whose INVALIDATE never arrived still hold
+  // state here. Settle them like any dead session: their cached data and
+  // travelling updates die with them, and the single-session busy check
+  // stops fencing the new life out. The session-id partition tells the
+  // lives apart: the implicit cleanup can run after the successor's own
+  // sessions started being served here, and those must survive.
+  std::vector<SessionId> prior_life;
+  sessions_.for_each([&](const SessionState& st) {
+    if (st.id != kNoSession && static_cast<SpaceId>(st.id >> 32) == peer &&
+        (st.id & 0xFFFFFFFFull) < ((static_cast<std::uint64_t>(incarnation) - 1) << 24)) {
+      prior_life.push_back(st.id);
+    }
+  });
+  for (const SessionId id : prior_life) {
+    tombstone_session(id);
+    close_session(id);
   }
 
   // Flush every other trace of the prior life: cached pages it served
@@ -1604,8 +1499,7 @@ void Runtime::on_peer_rejoin(SpaceId peer, std::uint32_t incarnation,
   // dead incarnation), its lock-table entries, its uncommitted orphan
   // storage, the request-dedup window (the new life's seq counter restarts
   // from one), and every in-flight request still addressed at it.
-  std::size_t revoked = 0;
-  for_each_cache([&](CacheManager& c) { revoked += c.revoke_source(peer); });
+  const std::size_t revoked = revoke_source(peer);
   if (revoked > 0) ++stats_.leases_expired;
   arbiter_.release_space(peer);
   // Orphan storage is reclaimed only once the stages are resolved: a
@@ -1803,10 +1697,9 @@ Status Runtime::recover_from_log() {
                                                   : "full history",
                             static_cast<std::int64_t>(replayed));
   // Replay re-applied commits through the normal incorporate path, which
-  // records them as this (ambient) session's travelling home updates; the
-  // recovered sessions are settled history, not live state.
-  ambient_state_.updates.clear();
-  ambient_state_.clear_ship();
+  // records them as sessionless travelling home updates; the recovered
+  // sessions are settled history, not live state.
+  close_session(kNoSession);
   SRPC_WARN << name_ << ": incarnation " << incarnation_ << " replayed "
             << replayed << " log records ("
             << (checkpoint != nullptr ? "from checkpoint" : "full history")
@@ -1847,8 +1740,8 @@ void Runtime::maybe_checkpoint() {
 Result<ByteBuffer> Runtime::fetch(SpaceId home, std::span<const LongPointer> pointers,
                                   std::uint64_t closure_budget,
                                   SessionId session) {
-  // A session-tagged cache pins its own session; the default cache passes
-  // kNoSession and the fetch rides whatever session scope is current.
+  // The fetch belongs to the session owning the pages being filled;
+  // sessionless pages ride whatever session scope is current.
   const SessionId sid = session != kNoSession ? session : current_session();
   Message msg = request(MessageType::kFetch, home, sid);
   encode_fetch_frame(msg.payload, pointers, closure_budget);
@@ -1860,9 +1753,8 @@ Result<ByteBuffer> Runtime::fetch(SpaceId home, std::span<const LongPointer> poi
   auto reply = guarded_roundtrip(std::move(msg), MessageType::kFetchReply,
                                  nullptr, /*idempotent=*/true);
   if (!reply) return reply.status();
-  // We now hold this source's bytes: start (or refresh) its lease on the
-  // cache that issued the fetch.
-  renew_lease(cache_for(sid), home);
+  // We now hold this source's bytes: start (or refresh) its lease.
+  renew_lease(home);
   return std::move(reply.value().payload);
 }
 
@@ -1982,23 +1874,11 @@ Result<ByteBuffer> Runtime::RawCallFuture::get(
 
 Status Runtime::serve_call(Message msg) {
   ++stats_.calls_served;
-  if (multi_session_) {
-    // Concurrent mode: every session gets its own cache overlay, so there
-    // is nothing to protect — just make sure the session is tracked here
-    // (its state is what the invalidation multicast tears down later).
-    (void)state_for(msg.session);
-  } else {
-    // One RPC session at a time: refuse to mix another session's activity
-    // into a cache that still holds this one's data (see cache_session_).
-    const bool cache_in_use =
-        cache_.table().size() > 0 || !ambient_state_.updates.empty();
-    if (cache_in_use && cache_session_ != kNoSession &&
-        cache_session_ != msg.session) {
-      return send_error(
-          msg, failed_precondition(
-              "space busy: cache holds data of another RPC session"));
-    }
-    cache_session_ = msg.session;
+  // One RPC session at a time unless multi-session: the paper's model never
+  // interleaves two sessions' activity in one space.
+  if (!multi_session_ && held_by_other_session(msg.session)) {
+    return send_error(
+        msg, failed_precondition("space busy: cache holds data of another RPC session"));
   }
   xdr::Decoder dec(msg.payload);
   auto proc = dec.get_string();
@@ -2165,44 +2045,36 @@ Status Runtime::serve_invalidate(Message msg) {
     auto flag = dec.get_u32();
     if (flag) aborted = flag.value() != 0;
   }
-  if (multi_session_) {
-    SessionState* st = sessions_.find(msg.session);
-    if (st != nullptr && st->local) {
-      // A peer cascade-forwarded the invalidation back to the session's own
-      // coordinator while its ground is mid-teardown. The ground owns the
-      // unwind — closing the state here would leave end_session()/
-      // abort_session() holding dangling references — so only re-ack.
-      return endpoint_.send(reply_to(msg, MessageType::kInvalidateAck));
+  SessionState* st = sessions_.find(msg.session);
+  if (st != nullptr && st->local) {
+    // A peer cascade-forwarded the invalidation back to the session's own
+    // coordinator while its ground is mid-teardown. The ground owns the
+    // unwind — closing the state here would leave end_session()/
+    // abort_session() holding dangling references — so only re-ack.
+    return endpoint_.send(reply_to(msg, MessageType::kInvalidateAck));
+  }
+  // Home-side arbitration state (locks, observed versions, stage marks)
+  // dies with the session whether it committed or aborted.
+  arbiter_.release(msg.session);
+  std::vector<SpaceId> forward;
+  if (st != nullptr) {
+    if (st->span != SpanRecorder::kNoSpan) {
+      telemetry_.tracer().finish(st->span, telemetry_.now_ns(), !aborted);
     }
-    // Home-side arbitration state (locks, observed versions, stage marks)
-    // dies with the session whether it committed or aborted.
-    arbiter_.release(msg.session);
-    std::vector<SpaceId> forward;
-    if (st != nullptr) {
-      if (st->span != SpanRecorder::kNoSpan) {
-        telemetry_.tracer().finish(st->span, telemetry_.now_ns(), !aborted);
-      }
-      // Peers this space pulled into the session on the closing ground's
-      // behalf may never have heard from that ground directly: forward the
-      // invalidation so the whole reachable participant graph converges.
+    // Multi-session cascade: peers this space pulled into the session on
+    // the closing ground's behalf may never have heard from that ground
+    // directly, so the whole reachable participant graph must converge.
+    if (multi_session_) {
       for (const SpaceId peer : st->touched) {
         if (peer != msg.from) forward.push_back(peer);
       }
-      if (st->cache) st->cache->invalidate_all();
-      if (st->allocator) st->allocator->clear();
-      sessions_.close(msg.session);
     }
-    (void)invalidate_peers(msg.session, forward, aborted, /*parallel=*/false,
-                           full_dispatcher_, /*best_effort=*/true);
-  } else if (cache_session_ == kNoSession || cache_session_ == msg.session) {
-    // Invalidation is scoped to its session: a multicast from some other
-    // ground must not nuke data a different (still open) session put here.
-    cache_.invalidate_all();
-    allocator_.clear();
-    ambient_state_.updates.clear();
-    ambient_state_.clear_ship();
-    cache_session_ = kNoSession;
   }
+  // Invalidation is scoped to its session: data another (still open)
+  // session put here stays.
+  close_session(msg.session);
+  (void)invalidate_peers(msg.session, forward, aborted, /*parallel=*/false,
+                         full_dispatcher_, /*best_effort=*/true);
   // Settle the session's extended_malloc storage in our heap: a committed
   // session's allocations become durable home data; an aborted session's
   // are orphans and are reclaimed. Both operations are idempotent, so
@@ -2349,12 +2221,10 @@ Status Runtime::serve_wb_commit(Message msg) {
     if (recovery_ != nullptr) {
       recovery_->note_commit(msg.session, epoch.value());
     }
-    if (multi_session_) {
-      // The write-back is durable: bump the versions of everything it
-      // touched so later validations see the new world, and release this
-      // session's locks and observations.
-      arbiter_.commit(msg.session);
-    }
+    // The write-back is durable: bump the versions of everything it
+    // touched so later validations see the new world, and release this
+    // session's locks and observations (none without arbitration).
+    arbiter_.commit(msg.session);
   }
 
   return endpoint_.send(reply_to(msg, MessageType::kWbCommitAck));
@@ -2374,12 +2244,10 @@ Status Runtime::serve_wb_abort(Message msg) {
     if (recovery_ != nullptr) {
       recovery_->note_abort(msg.session, epoch.value());
     }
-    if (multi_session_) {
-      // Only an abort that actually dropped a stage releases arbitration
-      // state: a straggler from an abandoned attempt must not free the
-      // locks a newer prepare of the same session just validated under.
-      arbiter_.release(msg.session);
-    }
+    // Only an abort that actually dropped a stage releases arbitration
+    // state: a straggler from an abandoned attempt must not free the locks
+    // a newer prepare of the same session just validated under.
+    arbiter_.release(msg.session);
   }
   // Always ack — aborts must be re-ackable even after the stage is long
   // gone (and even for tombstoned sessions).
@@ -2446,30 +2314,18 @@ Result<SessionId> Runtime::begin_session() {
   }
   const SessionId id = (static_cast<SessionId>(self_) << 32) |
                        (++session_counter_ & 0xFFFFFFFFull);
-  if (multi_session_) {
-    SessionState& st = state_for(id);
-    st.local = true;
-    // Materialise the cache overlay now: the ground is about to use it, and
-    // arena reservation should not be charged to the first fetch.
-    (void)cache_for(id);
-    // The ambient session backs the no-argument end/abort overloads (and
-    // legacy callers that never learned ids): first-open wins.
-    if (session_ == kNoSession) session_ = id;
-    if (telemetry_.tracing()) {
-      ScopedSession scope(*this, id);
-      st.span = telemetry_.tracer().start_local(
-          "session " + std::to_string(id), "session", telemetry_.now_ns());
-    }
-    return id;
+  SessionState& st = state_for(id);
+  st.local = true;
+  // The ambient session backs the no-argument end/abort overloads and every
+  // operation outside a pinned scope: first-open wins. Spans recorded
+  // outside any scope until end/abort are attributed to it.
+  if (session_ == kNoSession) {
+    session_ = id;
+    telemetry_.tracer().set_session(current_session());
   }
-  session_ = id;
-  cache_session_ = id;
   if (telemetry_.tracing()) {
-    // Single-session mode has no ScopedSession wrapping each operation, so
-    // stamp the tracer's ambient session for the session's whole lifetime —
-    // every span recorded until end/abort is attributable to it.
-    telemetry_.tracer().set_session(id);
-    ambient_state_.span = telemetry_.tracer().start_local(
+    ScopedSession scope(*this, id);
+    st.span = telemetry_.tracer().start_local(
         "session " + std::to_string(id), "session", telemetry_.now_ns());
   }
   return id;
@@ -2483,26 +2339,19 @@ Status Runtime::end_session() {
 }
 
 Status Runtime::end_session(SessionId id) {
-  if (multi_session_) {
-    if (sessions_.find(id) == nullptr) {
-      return failed_precondition("unknown session " + std::to_string(id));
-    }
-  } else if (id == kNoSession || id != session_) {
+  SessionState* found = sessions_.find(id);
+  if (found == nullptr || !found->local) {
     return failed_precondition("session " + std::to_string(id) +
-                               " is not the active session");
+                               " is not open at this space");
   }
   // Pin the whole commit to `id`: every nested fetch, flush, span, and
   // write-back below is attributed to this session even when the worker
   // interleaves other sessions' serves through full_dispatcher_.
   ScopedSession scope(*this, id);
-  SessionState& st = cur_state();
-  CacheManager& session_cache =
-      multi_session_ && st.cache ? *st.cache : cache_;
-  RemoteAllocator& session_alloc =
-      multi_session_ && st.allocator ? *st.allocator : allocator_;
-  // While a commit is in flight the worker may serve other traffic: a
-  // roundtrip that refuses to serve would deadlock two grounds committing
-  // at each other, so multi-session mode always passes the full dispatcher.
+  SessionState& st = *found;
+  // One session at a time serves nothing else while it commits. Concurrent
+  // sessions must: a roundtrip that refuses to serve would deadlock two
+  // grounds committing at each other.
   const RpcEndpoint::Dispatcher no_serve;
   const RpcEndpoint::Dispatcher& serve = multi_session_ ? full_dispatcher_ : no_serve;
   const std::uint64_t t_start = telemetry_.now_ns();
@@ -2527,7 +2376,7 @@ Status Runtime::end_session(SessionId id) {
   // crash, partition, or deadline during phase one aborts cleanly
   // everywhere and no home is left half-new.
   std::set<SpaceId> homes;
-  for (const auto& d : session_cache.collect_modified_deltas()) {
+  for (const auto& d : cache_.collect_modified_deltas()) {
     if (d.id.space != self_) homes.insert(d.id.space);
   }
 
@@ -2674,94 +2523,26 @@ Status Runtime::end_session(SessionId id) {
                                         /*best_effort=*/false);
   if (!invalidated.is_ok()) return fail(invalidated);
 
-  session_cache.invalidate_all();
-  session_alloc.clear();
-  st.updates.clear();
-  st.clear_ship();
   if (st.span != SpanRecorder::kNoSpan) {
     telemetry_.tracer().finish(st.span, telemetry_.now_ns(), /*ok=*/true);
-    st.span = SpanRecorder::kNoSpan;
   }
   ++stats_.sessions_committed;
   telemetry_.hist("session.commit_ns").record(telemetry_.now_ns() - t_start);
   telemetry_.observe_slo("SESSION_COMMIT", telemetry_.now_ns() - t_start);
-  if (multi_session_) {
-    // Any arbitration state this session left in the local arbiter (it is
-    // usually empty — grounds do not fetch from themselves) dies with it.
-    arbiter_.release(id);
-    if (session_ == id) session_ = kNoSession;
-    sessions_.close(id);
-  } else {
-    cache_session_ = kNoSession;
-    session_ = kNoSession;
-    if (telemetry_.tracer().session() == id) {
-      telemetry_.tracer().set_session(kNoSession);
-    }
-  }
+  // Any arbitration state this session left in the local arbiter (it is
+  // usually empty — grounds do not fetch from themselves) dies with it.
+  arbiter_.release(id);
+  close_session(id);
   return Status::ok();
 }
 
 Status Runtime::abort_session() {
-  if (multi_session_) {
-    return session_ == kNoSession ? Status::ok() : abort_session(session_);
-  }
-  const SessionId aborting = session_ != kNoSession ? session_ : cache_session_;
-  if (aborting == kNoSession && cache_.table().size() == 0 &&
-      ambient_state_.updates.empty()) {
-    return Status::ok();  // nothing to unwind
-  }
-  ++stats_.sessions_aborted;
-  telemetry_.flight().event(FlightEventKind::kSessionAbort, vnow_ns(),
-                            kInvalidSpaceId, {}, 0, aborting);
-  SRPC_DEBUG << name_ << ": aborting session " << aborting;
-  poll_failures();
-
-  // Un-flushed extended_malloc/free batches die with the session —
-  // provisional identities never reached a home, so there is nothing to
-  // undo remotely.
-  allocator_.clear();
-
-  // Best-effort invalidation multicast so peers drop (and tombstone) the
-  // session too. A failure never stops the local unwind — abort must leave
-  // the runtime reusable even on a dead network — but it is reported to the
-  // caller: an unreachable live peer still holds session state it will only
-  // shed through its own tombstones or failure detection.
-  Status worst = Status::ok();
-  if (aborting != kNoSession) {
-    worst = invalidate_peers(aborting, directory_(), /*aborted=*/true,
-                             /*parallel=*/false, nullptr, /*best_effort=*/true);
-    tombstone_session(aborting);
-  }
-
-  // Local unwind: drop every cached page (re-protecting the arena), every
-  // pending overlay, and the travelling modified set. The heap (home data)
-  // is untouched — only session-scoped state dies.
-  cache_.invalidate_all();
-  ambient_state_.updates.clear();
-  ambient_state_.clear_ship();
-  cache_session_ = kNoSession;
-  session_ = kNoSession;
-  if (telemetry_.tracer().session() == aborting) {
-    telemetry_.tracer().set_session(kNoSession);
-  }
-  if (ambient_state_.span != SpanRecorder::kNoSpan) {
-    telemetry_.tracer().annotate(ambient_state_.span, "session aborted",
-                                 telemetry_.now_ns());
-    telemetry_.tracer().finish(ambient_state_.span, telemetry_.now_ns(),
-                               /*ok=*/false);
-    ambient_state_.span = SpanRecorder::kNoSpan;
-  }
-  return worst;
+  if (session_ != kNoSession) return abort_session(session_);
+  close_session(kNoSession);  // sessionless data: a local unwind is all there is
+  return Status::ok();
 }
 
 Status Runtime::abort_session(SessionId id) {
-  if (!multi_session_) {
-    // A Session object whose session already ended (or was superseded)
-    // must not unwind a sibling's state: only the active id may abort.
-    const SessionId aborting = session_ != kNoSession ? session_ : cache_session_;
-    if (aborting != kNoSession && id != aborting) return Status::ok();
-    return abort_session();
-  }
   SessionState* st = sessions_.find(id);
   if (st == nullptr) return Status::ok();  // already gone — abort is idempotent
   ScopedSession scope(*this, id);
@@ -2769,33 +2550,41 @@ Status Runtime::abort_session(SessionId id) {
   telemetry_.flight().event(FlightEventKind::kSessionAbort, vnow_ns(),
                             kInvalidSpaceId, {}, 0, id);
   SRPC_DEBUG << name_ << ": aborting session " << id;
+  poll_failures();
+  st = sessions_.find(id);  // the safe point may have settled it
+  if (st == nullptr) return Status::ok();
   st->status = SessionStatus::kAborted;
   // Un-flushed extended_malloc/free batches die with the session —
   // provisional identities never reached a home, so there is nothing to
   // undo remotely.
-  if (st->allocator) st->allocator->clear();
-  // Best-effort invalidation to the touched peers (each cascades onward).
-  // A failure never stops the local unwind, but is reported to the caller.
-  const Status worst = invalidate_peers(
-      id, std::vector<SpaceId>(st->touched.begin(), st->touched.end()),
-      /*aborted=*/true, /*parallel=*/false, full_dispatcher_,
-      /*best_effort=*/true);
+  st->memory_ops.clear();
+  // Best-effort invalidation so peers drop (and tombstone) the session too:
+  // the whole directory, one peer at a time and serving nothing else, or in
+  // multi-session mode the touched peers (each cascades onward) while
+  // serving. A failure never stops the local unwind — abort must leave the
+  // runtime reusable even on a dead network — but it is reported to the
+  // caller: an unreachable live peer still holds session state it will only
+  // shed through its own tombstones or failure detection.
+  std::vector<SpaceId> targets = directory_();
+  RpcEndpoint::Dispatcher serve;
+  if (multi_session_) {
+    targets.assign(st->touched.begin(), st->touched.end());
+    serve = full_dispatcher_;
+  }
+  const Status worst = invalidate_peers(id, targets, /*aborted=*/true,
+                                        /*parallel=*/false, serve,
+                                        /*best_effort=*/true);
   tombstone_session(id);
   arbiter_.release(id);
   // The roundtrips above may have served nested traffic; re-resolve the
   // state before the final unwind in case a cascade already closed it.
+  // The heap (home data) is untouched — only session-scoped state dies.
   st = sessions_.find(id);
-  if (st != nullptr) {
-    if (st->cache) st->cache->invalidate_all();
-    if (st->span != SpanRecorder::kNoSpan) {
-      telemetry_.tracer().annotate(st->span, "session aborted",
-                                   telemetry_.now_ns());
-      telemetry_.tracer().finish(st->span, telemetry_.now_ns(), /*ok=*/false);
-      st->span = SpanRecorder::kNoSpan;
-    }
-    sessions_.close(id);
+  if (st != nullptr && st->span != SpanRecorder::kNoSpan) {
+    telemetry_.tracer().annotate(st->span, "session aborted", telemetry_.now_ns());
+    telemetry_.tracer().finish(st->span, telemetry_.now_ns(), /*ok=*/false);
   }
-  if (session_ == id) session_ = kNoSession;
+  close_session(id);
   return worst;
 }
 

@@ -129,10 +129,12 @@ class Runtime final : public PageFetcher,
   [[nodiscard]] HostTypeMap& host_types() noexcept { return host_types_; }
   [[nodiscard]] ManagedHeap& heap() noexcept { return heap_; }
   [[nodiscard]] const ManagedHeap& heap() const noexcept { return heap_; }
-  // The cache serving the current session: the shared default cache in
-  // single-session mode, the session's own overlay in multi-session mode.
-  [[nodiscard]] CacheManager& cache();
-  [[nodiscard]] const CacheManager& cache() const;
+  // The space's one cache. Its per-session operations and accessors
+  // (table, collect_modified_deltas, incorporate_clean_payload, swizzle)
+  // act on the current session, so a reader outside a served call pins the
+  // session it inspects (ScopedSession); stats() counts every session.
+  [[nodiscard]] CacheManager& cache() noexcept { return cache_; }
+  [[nodiscard]] const CacheManager& cache() const noexcept { return cache_; }
   [[nodiscard]] ServiceRegistry& services() noexcept { return services_; }
   [[nodiscard]] Mailbox& mailbox() noexcept { return mailbox_; }
   [[nodiscard]] RpcEndpoint& endpoint() noexcept { return endpoint_; }
@@ -301,24 +303,23 @@ class Runtime final : public PageFetcher,
   // for a fresh session; idempotent.
   Status abort_session();
   Status abort_session(SessionId id);
-  [[nodiscard]] SessionId current_session() const noexcept {
+  [[nodiscard]] SessionId current_session() const noexcept override {
     return scope_stack_.empty() ? session_ : scope_stack_.back();
   }
 
-  // --- concurrent multi-session mode ----------------------------------------
+  // --- session modes --------------------------------------------------------
 
-  // Many sessions per space, home-side arbitration (SessionTable +
-  // ConflictArbiter), per-session cache overlays. Off (default): the
-  // paper's one-session-at-a-time model, byte-identical on the wire.
-  // Flip only while idle (no open sessions, empty cache).
+  // Wire policy only (see WorldOptions::multi_session): admission,
+  // home-side arbitration, and the invalidation fan-out. Off (default): the
+  // paper's one-session-at-a-time model, byte-identical on the wire. Flip
+  // only while idle (no open sessions).
   void set_multi_session(bool on) noexcept { multi_session_ = on; }
   [[nodiscard]] bool multi_session() const noexcept { return multi_session_; }
 
   // Sessions this runtime currently tracks (local grounds + served
-  // participants). In single-session mode: 1 while a session is open.
+  // participants), sessionless traffic not counted.
   [[nodiscard]] std::size_t active_sessions() const noexcept {
-    return multi_session_ ? sessions_.size()
-                          : (session_ != kNoSession ? std::size_t{1} : 0);
+    return sessions_.size() - (sessions_.find(kNoSession) != nullptr ? 1 : 0);
   }
 
   [[nodiscard]] ConflictArbiter& arbiter() noexcept { return arbiter_; }
@@ -329,23 +330,22 @@ class Runtime final : public PageFetcher,
   // destruction (calls, faults, allocation, spans) is attributed to `id`.
   // This is how one worker thread interleaves many sessions — Session's
   // methods and message dispatch each pin their own id around the work.
+  // The tracer's session always follows current_session().
   class ScopedSession {
    public:
     ScopedSession(Runtime& rt, SessionId id) : rt_(rt) {
       rt_.scope_stack_.push_back(id);
-      prev_tracer_ = rt_.tracer().session();
       rt_.tracer().set_session(id);
     }
     ~ScopedSession() {
       rt_.scope_stack_.pop_back();
-      rt_.tracer().set_session(prev_tracer_);
+      rt_.tracer().set_session(rt_.current_session());
     }
     ScopedSession(const ScopedSession&) = delete;
     ScopedSession& operator=(const ScopedSession&) = delete;
 
    private:
     Runtime& rt_;
-    SessionId prev_tracer_ = kNoSession;
   };
 
   // --- calls -------------------------------------------------------------------
@@ -477,6 +477,11 @@ class Runtime final : public PageFetcher,
                            SessionId session) override;
   void charge_fault() override;
   Result<std::uint64_t> swizzle_home(const LongPointer& pointer, TypeId pointee) override;
+  SessionPages& pages_of(SessionId owner) override { return state_for(owner).pages; }
+  [[nodiscard]] const SessionPages* find_pages(SessionId owner) const override {
+    const SessionState* st = sessions_.find(owner);
+    return st != nullptr ? &st->pages : nullptr;
+  }
 
   // Records that remote activity modified one of OUR home data. Such data
   // stays in the travelling modified set until the session ends — applying
@@ -492,33 +497,20 @@ class Runtime final : public PageFetcher,
  private:
   friend class ScopedSession;
 
-  // --- session-state resolution (multi-session mode) ------------------------
-  // Single-session mode routes everything to the ambient scalars/cache so
-  // behaviour (and wire bytes) stay identical to the paper's model.
+  // --- session state ----------------------------------------------------------
 
-  // Bare per-session state: sets, ship records, touched peers. Creates it
-  // on first sight of the session (cheap — no cache).
-  SessionState& state_for(SessionId id);
-  // State of the current scope (ambient in single-session mode).
+  // The state of `id` (kNoSession included), created on first sight.
+  SessionState& state_for(SessionId id) { return sessions_.open(id); }
+  // State of the current scope.
   SessionState& cur_state() { return state_for(current_session()); }
-  [[nodiscard]] const SessionState& cur_state() const;
-  // The cache/allocator overlay for `id`, materialised on first use (a
-  // cache reserves an arena; homes that only apply write-backs skip it).
-  CacheManager& cache_for(SessionId id);
-  RemoteAllocator& allocator_for(SessionId id);
-  // The cache (any session's, or the default) whose arena holds `p`.
-  CacheManager* cache_owning(const void* p);
-  [[nodiscard]] const CacheManager* cache_owning(const void* p) const;
-  // The allocator paired with `cache` (extended_free resolution).
-  RemoteAllocator* allocator_of(const CacheManager* cache);
-  // Visits the default cache plus every session overlay.
-  template <typename F>
-  void for_each_cache(F&& fn) {
-    fn(cache_);
-    sessions_.for_each([&](SessionState& st) {
-      if (st.cache) fn(*st.cache);
-    });
-  }
+  // Ends `id` here: its pages go back to the arena and its state closes.
+  // Sessionless data lives until the space next has no session open.
+  void close_session(SessionId id);
+  // True while a session other than `id` holds cached data or home updates
+  // here (single-session admission).
+  [[nodiscard]] bool held_by_other_session(SessionId id) const;
+  // Lease revocation of `source` across every session's pages.
+  std::size_t revoke_source(SpaceId source);
 
   [[nodiscard]] bool uniform_arch() const noexcept {
     return uniform_arch_ != nullptr && uniform_arch_->load();
@@ -641,8 +633,8 @@ class Runtime final : public PageFetcher,
   Result<ByteBuffer> finish_call(SpaceId target,
                                  const std::vector<ShippedRecord>& shipped,
                                  Result<Message> reply);
-  // Starts (or refreshes) `cache`'s lease on a source we just fetched from.
-  void renew_lease(CacheManager& cache, SpaceId source);
+  // Starts (or refreshes) the lease on a source we just fetched from.
+  void renew_lease(SpaceId source);
   // One endpoint pump step on the worker's normal stack (Future::get's
   // drive), followed by the deferred probe drain.
   Status pump_guarded(std::chrono::steady_clock::time_point deadline);
@@ -653,11 +645,11 @@ class Runtime final : public PageFetcher,
   [[nodiscard]] std::uint64_t vnow_ns() const noexcept;
 
   // Ships one FETCH frame per group with every frame in flight at once,
-  // then collects the replies (restricted await: the owning cache is
-  // mid-fill). Backing transfer for CacheManager::prefetch_many.
+  // then collects the replies (restricted await: the cache is mid-fill).
+  // Backing transfer for CacheManager::prefetch_many.
   Result<std::vector<ByteBuffer>> parallel_fetch(
-      CacheManager& owner, std::vector<CacheManager::PrefetchGroup>& groups,
-      std::uint64_t closure_budget, SessionId session);
+      std::vector<CacheManager::PrefetchGroup>& groups, std::uint64_t closure_budget,
+      SessionId session);
 
   // Flushes pending extended_malloc/extended_free batches to every home
   // (must precede any control transfer: the modified data set cannot be
@@ -687,18 +679,15 @@ class Runtime final : public PageFetcher,
   // Applies one MODIFIED_DELTA entry to the heap (home data) or cache.
   Status apply_delta_entry(const ModifiedDelta& delta);
 
-  // Builds the ModifiedDatum view of a home-heap object (diffed against its
-  // session twin when one exists).
+  // Builds the ModifiedDatum view of a home-heap object (diffed against the
+  // session's twin when one exists).
   CacheManager::ModifiedDatum home_modified_datum(
-      const LongPointer& id, const ManagedHeap::Record& record) const;
+      const SessionState& st, const LongPointer& id,
+      const ManagedHeap::Record& record) const;
 
   // Refreshes an object's ship state after an incoming transfer from
   // `from`: recomputes the fingerprint over our post-application image.
   void observe_incoming(const LongPointer& id, SpaceId from, std::uint64_t epoch);
-
-  // Drops all per-session delta/epoch state (session end, abort,
-  // invalidation).
-  void clear_ship_state();
 
   // Answers request `req` with an ERROR carrying `error`.
   Status send_error(const Message& req, const Status& error);
@@ -722,7 +711,6 @@ class Runtime final : public PageFetcher,
   RpcEndpoint endpoint_;
   ManagedHeap heap_;
   CacheManager cache_;
-  RemoteAllocator allocator_;
   ServiceRegistry services_;
   ClosurePacker packer_;
 
@@ -738,15 +726,10 @@ class Runtime final : public PageFetcher,
   ShmArena* shm_arena_ = nullptr;  // owned by the World; null = byte lane only
   bool shm_payload_enabled_ = true;
 
-  // --- concurrent multi-session runtime --------------------------------------
-  bool multi_session_ = false;
-  CacheOptions cache_options_;  // kept for per-session overlay construction
-  // Per-session states (multi-session mode). Single-session mode keeps
-  // everything in `ambient_state_` below.
+  // --- sessions ---------------------------------------------------------------
+  bool multi_session_ = false;  // wire policy, see set_multi_session()
+  // Every session this space takes part in, sessionless traffic included.
   SessionTable sessions_;
-  // The one state single-session mode uses for every session it touches —
-  // exactly the scalar fields the pre-concurrency runtime kept.
-  SessionState ambient_state_;
   // Home-side session arbitration (object locks + version validation).
   ConflictArbiter arbiter_;
   // Session pins pushed by ScopedSession; top = the session every runtime
@@ -761,13 +744,6 @@ class Runtime final : public PageFetcher,
   // Tombstones of invalidated sessions, bounded FIFO.
   std::unordered_set<SessionId> dead_session_set_;
   std::deque<SessionId> dead_session_order_;
-  // The session whose data currently populates the default cache
-  // (single-session mode only). A CALL from a *different* session while we
-  // still hold another session's cached data is refused: the paper's model
-  // has one session at a time, and mixing two sessions' modified sets would
-  // corrupt both. Multi-session mode gives each session its own overlay
-  // instead and never refuses.
-  SessionId cache_session_ = kNoSession;
 
   // --- two-phase write-back (home side) ------------------------------------
   // A staged modified set waiting for WB_COMMIT. Keyed by session; the

@@ -35,7 +35,7 @@ enum class TransportKind : std::uint8_t {
 
 struct WorldOptions {
   CostModel cost = CostModel::sparc_ethernet();
-  CacheOptions cache;  // per-space defaults (closure size, arena, strategy)
+  CacheOptions cache;  // per space, shared by its sessions (closure, arena, strategy)
   TransportKind transport = TransportKind::kSimulated;
   TimeoutConfig timeouts;  // per-space deadline/retry policy
   // Wraps the wire in a seedable FaultTransport decorator; arm it through
@@ -52,10 +52,16 @@ struct WorldOptions {
   // runtime with set_tracing(). A message sent while a client span is open
   // carries its trace context, so spans link causally across spaces.
   bool tracing = false;
-  // Concurrent multi-session runtime: every space tracks many sessions at
-  // once (SessionTable, per-session cache overlays) and homes arbitrate
-  // conflicting commits (ObjectLockTable + ConflictArbiter, wound-wait) at
-  // WB_PREPARE, whose write manifest this mode adds.
+  // Session wire policy. Both modes keep sessions in the same SessionTable
+  // and the same per-space cache; this only picks:
+  //   * admission: off, a space begins one session at a time and refuses a
+  //     CALL while another session's data sits in its cache; on, any number
+  //     run at once;
+  //   * arbitration: on, homes note what each session read and arbitrate
+  //     conflicting commits (ObjectLockTable + ConflictArbiter, wound-wait)
+  //     at WB_PREPARE, whose write manifest this mode adds;
+  //   * the invalidation fan-out: off, the whole directory; on, the peers
+  //     the session touched, each cascading to its own.
   bool multi_session = false;
   // Zero-copy payload lane: the world owns one ShmArena, so payloads
   // between spaces travel as refcounted arena views (20-byte descriptors on

@@ -4,8 +4,8 @@
 
 namespace srpc {
 
-Result<void*> RemoteAllocator::allocate(SpaceId home, TypeId type, std::uint64_t size,
-                                        std::uint32_t align) {
+Result<void*> RemoteAllocator::allocate(CacheManager& cache, SpaceId home, TypeId type,
+                                        std::uint64_t size, std::uint32_t align) {
   // Provisional identities are spaced 1 TiB apart so the allocation table's
   // home-range overlap check never sees two provisional objects collide,
   // whatever their sizes.
@@ -14,13 +14,13 @@ Result<void*> RemoteAllocator::allocate(SpaceId home, TypeId type, std::uint64_t
     return invalid_argument("extended_malloc larger than 1 TiB");
   }
   const LongPointer id{home, provisional, type};
-  auto slot = cache_.allocate_resident(id, size, align);
+  auto slot = cache.allocate_resident(id, size, align);
   if (!slot) return slot.status();
   batches_[home].allocs.push_back(PendingAlloc{provisional, type});
   return slot;
 }
 
-Status RemoteAllocator::release(const LongPointer& id) {
+Status RemoteAllocator::release(CacheManager& cache, const LongPointer& id) {
   if (is_provisional_address(id.address)) {
     // Never reached the home: cancel the pending allocation entirely.
     auto it = batches_.find(id.space);
@@ -32,12 +32,12 @@ Status RemoteAllocator::release(const LongPointer& id) {
                                 });
       if (match != allocs.end()) {
         allocs.erase(match);
-        return cache_.remove_entry(id);
+        return cache.remove_entry(id);
       }
     }
     return not_found("release of unknown provisional allocation: " + id.to_string());
   }
-  SRPC_RETURN_IF_ERROR(cache_.remove_entry(id));
+  SRPC_RETURN_IF_ERROR(cache.remove_entry(id));
   batches_[id.space].frees.push_back(id.address);
   return Status::ok();
 }
@@ -60,18 +60,19 @@ RemoteAllocator::Batch RemoteAllocator::take_batch(SpaceId home) {
 }
 
 Status RemoteAllocator::apply_assignments(
-    SpaceId home, std::span<const std::pair<std::uint64_t, std::uint64_t>> assigned) {
+    CacheManager& cache, SpaceId home,
+    std::span<const std::pair<std::uint64_t, std::uint64_t>> assigned) {
   for (const auto& [provisional, real] : assigned) {
     const LongPointer old_id{home, provisional, kInvalidTypeId};
     // The table keys identity on (space, address); find the stored entry to
     // learn its type for the rebound identity.
-    const AllocationEntry* entry = cache_.lookup(old_id);
+    const AllocationEntry* entry = cache.lookup(old_id);
     if (entry == nullptr) {
       return not_found("alloc reply for unknown provisional " + old_id.to_string());
     }
     LongPointer new_id = entry->pointer;
     new_id.address = real;
-    SRPC_RETURN_IF_ERROR(cache_.rebind(entry->pointer, new_id));
+    SRPC_RETURN_IF_ERROR(cache.rebind(entry->pointer, new_id));
   }
   return Status::ok();
 }

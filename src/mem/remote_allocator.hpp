@@ -11,6 +11,11 @@
 // flushes the batch, the home assigns real addresses, the provisional
 // identities are rebound, and the initial values then travel with the
 // ordinary modified data set — no extra mechanism needed.
+//
+// One RemoteAllocator holds one session's pending batches (it lives in the
+// session's state); the slots it hands out are on that session's pages of
+// the space's cache, so every call that touches the cache runs with the
+// session pinned.
 #pragma once
 
 #include <cstdint>
@@ -34,9 +39,6 @@ inline bool is_provisional_address(std::uint64_t addr) noexcept {
 
 class RemoteAllocator {
  public:
-  explicit RemoteAllocator(CacheManager& cache) : cache_(cache) {}
-  RemoteAllocator(const RemoteAllocator&) = delete;
-  RemoteAllocator& operator=(const RemoteAllocator&) = delete;
 
   struct PendingAlloc {
     std::uint64_t provisional = 0;
@@ -49,14 +51,13 @@ class RemoteAllocator {
 
   // Allocates a local born-dirty location for a new object of `type`
   // (size/align already resolved by the caller) homed at `home`.
-  Result<void*> allocate(SpaceId home, TypeId type, std::uint64_t size,
-                         std::uint32_t align);
+  Result<void*> allocate(CacheManager& cache, SpaceId home, TypeId type,
+                         std::uint64_t size, std::uint32_t align);
 
   // Records the release of a cached remote datum. If `id` is provisional
   // the pending allocation is cancelled instead and nothing is sent.
-  Status release(const LongPointer& id);
+  Status release(CacheManager& cache, const LongPointer& id);
 
-  [[nodiscard]] bool has_pending() const noexcept { return !batches_.empty(); }
   [[nodiscard]] std::vector<SpaceId> pending_homes() const;
 
   // Removes and returns the batch destined for `home`.
@@ -65,13 +66,13 @@ class RemoteAllocator {
   // Applies a home's ALLOC_REPLY: rebinds each provisional identity to the
   // assigned real address.
   Status apply_assignments(
-      SpaceId home, std::span<const std::pair<std::uint64_t, std::uint64_t>> assigned);
+      CacheManager& cache, SpaceId home,
+      std::span<const std::pair<std::uint64_t, std::uint64_t>> assigned);
 
   // Session teardown.
   void clear() { batches_.clear(); }
 
  private:
-  CacheManager& cache_;
   std::uint64_t next_provisional_ = 1;
   std::map<SpaceId, Batch> batches_;
 };

@@ -16,14 +16,42 @@ std::string_view to_string(PageState s) noexcept {
   return "?";
 }
 
-Result<PageIndex> PageTable::grab(std::uint32_t n, PageKind kind, SpaceId origin) {
+Result<PageIndex> PageTable::grab(std::uint32_t n, PageKind kind, SpaceId origin,
+                                  SessionId owner) {
+  const PageInfo fresh{PageState::kAllocated, kind, false, 0, origin, owner};
+  // The lowest run of n released pages, if any.
+  for (auto it = released_.begin(); it != released_.end();) {
+    auto last = it;
+    while (*last - *it + 1 < n && std::next(last) != released_.end() &&
+           *std::next(last) == *last + 1) {
+      ++last;
+    }
+    if (*last - *it + 1 < n) {
+      it = std::next(last);
+      continue;
+    }
+    const PageIndex first = *it;
+    released_.erase(it, std::next(last));
+    for (std::uint32_t i = 0; i < n; ++i) pages_[first + i] = fresh;
+    held_ += n;
+    return first;
+  }
   const std::size_t first = pages_.size();
   if (n > page_count_ - first) {
     return resource_exhausted("cache arena full (" + std::to_string(page_count_) +
                               " pages)");
   }
-  pages_.resize(first + n, PageInfo{PageState::kAllocated, kind, false, 0, origin});
+  pages_.resize(first + n, fresh);
+  held_ += n;
   return static_cast<PageIndex>(first);
+}
+
+void PageTable::release(PageIndex page) {
+  if (page >= pages_.size() || pages_[page].state == PageState::kEmpty) return;
+  pages_[page] = PageInfo{};
+  twins_.erase(page);
+  released_.insert(page);
+  if (held_ > 0 && --held_ == 0) reset();
 }
 
 Status PageTable::transition(PageIndex page, PageState to) {
@@ -84,6 +112,8 @@ void PageTable::snapshot_twin(PageIndex page, const std::uint8_t* bytes,
 
 void PageTable::reset() {
   pages_.clear();  // keeps the reserved capacity
+  released_.clear();
+  held_ = 0;
   twins_.clear();
 }
 

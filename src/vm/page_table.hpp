@@ -10,13 +10,19 @@
 // released, a first access to any further datum on it could no longer be
 // detected (paper §3.2), so no new locations may be allocated there.
 //
-// Pages are handed out from the bottom of the arena, so the table keeps
-// only the used prefix [0, used()): every page above the bound is kEmpty.
-// Scans, dumps and reset stop at the bound, so their cost follows the pages
-// a session touched, not the arena size.
+// One table covers the one arena of a space, shared by every session open
+// there. Each handed-out page carries its owner, the session whose data it
+// holds; no page ever holds two sessions' data. Pages come from the bottom
+// of the arena, and released pages are reused lowest first, so the table
+// keeps only the used prefix [0, used()): every page above the bound is
+// kEmpty. When the last owned page is released the bound drops back to 0,
+// so a lone session on an idle space is placed exactly as on a fresh one.
+// Scans and dumps stop at the bound, so their cost follows the pages in
+// use, not the arena size.
 #pragma once
 
 #include <cstdint>
+#include <set>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -43,6 +49,7 @@ struct PageInfo {
   bool sealed = false;
   std::uint32_t bump = 0;          // next free byte offset for allocation
   SpaceId origin = kInvalidSpaceId;  // home space this page clusters (strategy-dependent)
+  SessionId owner = kNoSession;      // the session whose data the page holds
 };
 
 class PageTable {
@@ -71,10 +78,15 @@ class PageTable {
   // last reset.
   [[nodiscard]] std::size_t used() const noexcept { return pages_.size(); }
 
-  // Hands out `n` consecutive fresh pages at the used bound, kAllocated
-  // with the given kind and origin; RESOURCE_EXHAUSTED when the arena is
-  // full.
-  Result<PageIndex> grab(std::uint32_t n, PageKind kind, SpaceId origin);
+  // Hands out `n` consecutive fresh pages to `owner`, kAllocated with the
+  // given kind and origin: the lowest released pages that fit, else pages
+  // at the used bound; RESOURCE_EXHAUSTED when the arena has no such run.
+  Result<PageIndex> grab(std::uint32_t n, PageKind kind, SpaceId origin,
+                         SessionId owner = kNoSession);
+
+  // Returns a handed-out page to the arena: kEmpty, unsealed, no twin. The
+  // protection change is the cache manager's job.
+  void release(PageIndex page);
 
   // Validated state transition; the protection change itself is the cache
   // manager's job (it owns the arena).
@@ -102,8 +114,7 @@ class PageTable {
     return twins_.at(page).data();
   }
 
-  // Resets every page to kEmpty/unsealed and the used bound to 0
-  // (session-end invalidation).
+  // Resets every page to kEmpty/unsealed and the used bound to 0.
   void reset();
 
  private:
@@ -115,6 +126,8 @@ class PageTable {
 
   std::size_t page_count_;
   std::vector<PageInfo> pages_;  // the used prefix; capacity page_count_
+  std::set<PageIndex> released_;  // kEmpty pages below the bound
+  std::size_t held_ = 0;          // pages handed out and not yet released
   std::unordered_map<PageIndex, std::vector<std::uint8_t>> twins_;
 };
 

@@ -96,9 +96,15 @@ class MockFetcher final : public PageFetcher {
     return internal_error("self-homed pointer in cache test");
   }
 
+  // One owner: every page the cache hands out belongs to `pages`.
+  SessionId current_session() const noexcept override { return kNoSession; }
+  SessionPages& pages_of(SessionId) override { return pages; }
+  const SessionPages* find_pages(SessionId) const override { return &pages; }
+
   int fetches = 0;
   int faults = 0;
   std::map<SpaceId, MockHome*> homes_;
+  SessionPages pages;
 };
 
 struct Node {
@@ -385,7 +391,7 @@ TEST_F(CacheManagerTest, InvalidateDropsEverything) {
   ASSERT_TRUE(p.is_ok());
   EXPECT_EQ(reinterpret_cast<const Node*>(p.value())->value, 1);
 
-  cache->invalidate_all();
+  cache->release(fetcher_.pages);
   EXPECT_EQ(cache->table().size(), 0u);
   EXPECT_EQ(cache->lookup({kHomeA, 0x1000, node_}), nullptr);
   EXPECT_TRUE(cache->collect_modified().empty());

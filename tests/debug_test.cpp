@@ -40,6 +40,8 @@ TEST(DebugDump, ShowsTableEntriesAndStates) {
     EXPECT_NE(counters.find("calls sent=1"), std::string::npos);
 
     b.run([&](Runtime& brt) {
+      // The callee's cache entries belong to the session: pin it to read them.
+      Runtime::ScopedSession pin(brt, session.id());
       const std::string table = dump_allocation_table(brt);
       EXPECT_NE(table.find("5 entries"), std::string::npos);
       EXPECT_NE(table.find("long pointer"), std::string::npos);
@@ -50,6 +52,7 @@ TEST(DebugDump, ShowsTableEntriesAndStates) {
 
     // After invalidation the callee's table is empty again.
     b.run([&](Runtime& brt) {
+      Runtime::ScopedSession pin(brt, session.id());
       EXPECT_NE(dump_allocation_table(brt).find("0 entries"), std::string::npos);
     });
   });

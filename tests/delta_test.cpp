@@ -130,6 +130,10 @@ class NeverFetch final : public PageFetcher {
   Result<std::uint64_t> swizzle_home(const LongPointer&, TypeId) override {
     return internal_error("no swizzle expected");
   }
+  SessionId current_session() const noexcept override { return kNoSession; }
+  SessionPages& pages_of(SessionId) override { return pages; }
+  const SessionPages* find_pages(SessionId) const override { return &pages; }
+  SessionPages pages;
 };
 
 TEST(CacheOptionsTest, InitRejectsZeroPageCount) {
