@@ -5,7 +5,7 @@ namespace srpc {
 SessionState& SessionTable::open(SessionId id) {
   auto it = states_.find(id);
   if (it == states_.end()) {
-    auto state = std::make_unique<SessionState>();
+    auto state = spare_ != nullptr ? std::move(spare_) : std::make_unique<SessionState>();
     state->id = id;
     state->pages.owner = id;
     it = states_.emplace(id, std::move(state)).first;
@@ -23,6 +23,25 @@ const SessionState* SessionTable::find(SessionId id) const {
   return it == states_.end() ? nullptr : it->second.get();
 }
 
-bool SessionTable::close(SessionId id) { return states_.erase(id) > 0; }
+bool SessionTable::close(SessionId id) {
+  auto it = states_.find(id);
+  if (it == states_.end()) return false;
+  spare_ = std::move(it->second);
+  spare_->clear();
+  states_.erase(it);
+  return true;
+}
+
+void SessionState::clear() {
+  local = false;
+  status = SessionStatus::kActive;
+  updates.clear();
+  home_twins.clear();
+  ship.clear();
+  ship_epoch = 0;
+  span = SpanRecorder::kNoSpan;
+  touched.clear();
+  memory_ops = RemoteAllocator{};
+}
 
 }  // namespace srpc

@@ -64,6 +64,10 @@ struct SessionState {
   // and its batched remote memory operations (paper §3.5).
   SessionPages pages;
   RemoteAllocator memory_ops;
+
+  // Empties the state for the next session, keeping the containers'
+  // storage. Its pages must already be back in the arena.
+  void clear();
 };
 
 class SessionTable {
@@ -75,7 +79,7 @@ class SessionTable {
   [[nodiscard]] SessionState* find(SessionId id);
   [[nodiscard]] const SessionState* find(SessionId id) const;
 
-  // Destroys the state; its pages must already be back in the arena
+  // Closes the state; its pages must already be back in the arena
   // (CacheManager::release). Returns false if absent.
   bool close(SessionId id);
 
@@ -92,6 +96,11 @@ class SessionTable {
 
  private:
   std::unordered_map<SessionId, std::unique_ptr<SessionState>> states_;
+  // The last closed state, emptied, for the next session to open: a space
+  // that runs sessions one after another builds its allocation table and
+  // ship records once and reuses their storage, as one long-lived cache
+  // would.
+  std::unique_ptr<SessionState> spare_;
 };
 
 }  // namespace srpc

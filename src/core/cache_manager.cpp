@@ -407,10 +407,6 @@ Status CacheManager::prefetch_many(std::span<const void* const> addrs,
 
 Status CacheManager::fill_page(SessionPages& sp, PageIndex page,
                                std::uint64_t closure_budget) {
-  if (sp.table.entries_on_page(page).empty()) {
-    return failed_precondition("fault on page " + std::to_string(page) +
-                               " with no allocated data");
-  }
   // One fetch per home space owning data on this page (the cluster
   // strategy makes this a single round trip; kMixed may need several).
   return fill(sp, std::span<const PageIndex>(&page, 1),
@@ -439,7 +435,7 @@ Status CacheManager::fill(SessionPages& sp, std::span<const PageIndex> pages,
   // of them at once, so replies may land and fill in any order.
   Status result = Status::ok();
   std::map<SpaceId, std::vector<LongPointer>> by_home;
-  std::unordered_set<const AllocationEntry*> wanted;
+  std::vector<const AllocationEntry*> large;  // listed under each page they span
   for (const PageIndex page : pages) {
     const auto entries = sp.table.entries_on_page(page);
     if (entries.empty()) continue;
@@ -449,8 +445,15 @@ Status CacheManager::fill(SessionPages& sp, std::span<const PageIndex> pages,
       for (std::uint32_t i = 0; i < span && result.is_ok(); ++i) {
         result = make_writable(e->page + i);
       }
-      if (wanted.insert(e).second) by_home[e->pointer.space].push_back(e->pointer);
+      if (span > 1) {
+        if (std::find(large.begin(), large.end(), e) != large.end()) continue;
+        large.push_back(e);
+      }
+      by_home[e->pointer.space].push_back(e->pointer);
     }
+  }
+  if (by_home.empty()) {
+    result = failed_precondition("fill of pages with no allocated data");
   }
   // Lazy cursors must stop pointing at pages that are about to turn
   // resident, or a later swizzle could hide an unfetched datum on them.
@@ -800,7 +803,7 @@ void CacheManager::release(SessionPages& sp) {
                          PageProtection::kNone);
     i = j;
   }
-  for (const PageIndex p : sp.pages) pages_.release(p);
+  pages_.release(sp.pages);
   sp.table.clear();
   sp.overlays.clear();
   sp.lazy_cursors.clear();

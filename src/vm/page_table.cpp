@@ -46,12 +46,17 @@ Result<PageIndex> PageTable::grab(std::uint32_t n, PageKind kind, SpaceId origin
   return static_cast<PageIndex>(first);
 }
 
-void PageTable::release(PageIndex page) {
-  if (page >= pages_.size() || pages_[page].state == PageState::kEmpty) return;
-  pages_[page] = PageInfo{};
-  twins_.erase(page);
-  released_.insert(page);
-  if (held_ > 0 && --held_ == 0) reset();
+void PageTable::release(std::span<const PageIndex> pages) {
+  if (pages.size() >= held_) {
+    reset();  // the last holder is done: back to a fresh arena
+    return;
+  }
+  for (const PageIndex page : pages) {
+    pages_.at(page) = PageInfo{};
+    twins_.erase(page);
+    released_.insert(page);
+  }
+  held_ -= pages.size();
 }
 
 Status PageTable::transition(PageIndex page, PageState to) {

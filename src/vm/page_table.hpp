@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -84,9 +85,9 @@ class PageTable {
   Result<PageIndex> grab(std::uint32_t n, PageKind kind, SpaceId origin,
                          SessionId owner = kNoSession);
 
-  // Returns a handed-out page to the arena: kEmpty, unsealed, no twin. The
-  // protection change is the cache manager's job.
-  void release(PageIndex page);
+  // Returns handed-out pages (distinct) to the arena: kEmpty, unsealed, no
+  // twin. The protection change is the cache manager's job.
+  void release(std::span<const PageIndex> pages);
 
   // Validated state transition; the protection change itself is the cache
   // manager's job (it owns the arena).
