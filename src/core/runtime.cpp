@@ -2538,7 +2538,9 @@ Status Runtime::end_session(SessionId id) {
 
 Status Runtime::abort_session() {
   if (session_ != kNoSession) return abort_session(session_);
-  close_session(kNoSession);  // sessionless data: a local unwind is all there is
+  // Sessionless data only: a local unwind is all there is, once no session
+  // that could still be using it is open.
+  if (active_sessions() == 0) close_session(kNoSession);
   return Status::ok();
 }
 

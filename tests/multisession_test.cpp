@@ -1,7 +1,7 @@
 // Concurrent multi-session runtime: many sessions per space, home-side
 // coherency arbitration (ObjectLockTable + ConflictArbiter, wound-wait by
-// session id), per-session cache overlays, WB_CONFLICT losers that retry
-// cleanly. Covers:
+// session id), sessions owning their pages of each space's one cache,
+// WB_CONFLICT losers that retry cleanly. Covers:
 //  * disjoint sessions commit independently (no conflicts, both visible)
 //  * write-write conflict: exactly one loser, whose retry succeeds, in
 //    both wound-wait directions (older wounds younger; younger meets an
@@ -274,7 +274,7 @@ TEST_F(MultiSessionTest, SiblingTeardownIsolated) {
       ASSERT_TRUE(doomed.abort().is_ok());
       EXPECT_EQ(rt.stats().sessions_aborted, 1u);
     }
-    // The sibling's overlay survived the abort: the dirtied page is still
+    // The sibling's pages survived the abort: the dirtied page is still
     // resident and the commit ships it.
     EXPECT_EQ(kept->value, 4242);
     ASSERT_TRUE(keeper.end().is_ok());
