@@ -65,6 +65,10 @@ ctest --test-dir "${BUILD}" --output-on-failure -L pipeline -LE fault
 # copy-on-write are exactly what ASan/LSan (leaked pins) and TSan
 # (cross-thread release of the last view) exist to check.
 ctest --test-dir "${BUILD}" --output-on-failure -L shm
+# The value codec and its compiled layout plans: every encode, decode and
+# pointer scan indexes raw images by plan offsets, which is what ASan and
+# UBSan check. Run explicitly because CI narrows the catch-all pass below.
+ctest --test-dir "${BUILD}" --output-on-failure -L codec
 # The golden virtual rows are left out: they check figures, not memory or
 # races, and a sanitizer's slowdown buys nothing there.
-ctest --test-dir "${BUILD}" --output-on-failure -LE "fault|obs|pipeline|shm|golden" "$@"
+ctest --test-dir "${BUILD}" --output-on-failure -LE "fault|obs|pipeline|shm|codec|golden" "$@"

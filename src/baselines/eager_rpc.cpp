@@ -3,7 +3,6 @@
 #include <unordered_set>
 
 #include "common/logging.hpp"
-#include "core/closure.hpp"
 
 namespace srpc::eager {
 
@@ -65,13 +64,12 @@ class InlinePointerDecoder final : public PointerFieldCodec {
 // Recursively frees a decoded local copy (acyclic by construction).
 Status free_closure(Runtime& rt, TypeId type, void* root) {
   if (root == nullptr) return Status::ok();
+  auto plan = rt.layouts().layout_of(rt.arch(), type);
+  if (!plan) return plan.status();
   std::vector<std::pair<TypeId, void*>> children;
-  SRPC_RETURN_IF_ERROR(walk_pointer_fields(
-      rt.registry(), rt.layouts(), rt.arch(), type, root,
-      [&](std::uint64_t target, TypeId pointee) -> Status {
-        children.emplace_back(pointee, reinterpret_cast<void*>(target));
-        return Status::ok();
-      }));
+  plan.value()->for_each_pointer(rt.arch(), root, [&](std::uint64_t target, TypeId to) {
+    children.emplace_back(to, reinterpret_cast<void*>(target));
+  });
   for (auto& [pointee, child] : children) {
     SRPC_RETURN_IF_ERROR(free_closure(rt, pointee, child));
   }

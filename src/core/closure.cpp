@@ -5,49 +5,6 @@
 
 namespace srpc {
 
-Status walk_pointer_fields(
-    const TypeRegistry& registry, const LayoutEngine& layouts, const ArchModel& arch,
-    TypeId type, const void* src,
-    const std::function<Status(std::uint64_t, TypeId)>& fn) {
-  auto desc_or = registry.find(type);
-  if (!desc_or) return desc_or.status();
-  const TypeDescriptor& desc = *desc_or.value();
-  const auto* bytes = static_cast<const std::uint8_t*>(src);
-
-  switch (desc.kind()) {
-    case TypeKind::kScalar:
-      return Status::ok();
-    case TypeKind::kPointer: {
-      const std::uint64_t ordinary =
-          read_scaled_uint(src, arch.pointer_size, arch.endian);
-      if (ordinary == 0) return Status::ok();
-      return fn(ordinary, desc.pointee());
-    }
-    case TypeKind::kArray: {
-      auto elem_layout = layouts.layout_of(arch, desc.element());
-      if (!elem_layout) return elem_layout.status();
-      const std::uint64_t stride = elem_layout.value()->size;
-      for (std::uint32_t i = 0; i < desc.count(); ++i) {
-        SRPC_RETURN_IF_ERROR(walk_pointer_fields(registry, layouts, arch, desc.element(),
-                                                 bytes + i * stride, fn));
-      }
-      return Status::ok();
-    }
-    case TypeKind::kStruct: {
-      auto layout = layouts.layout_of(arch, type);
-      if (!layout) return layout.status();
-      const auto& fields = desc.fields();
-      for (std::size_t i = 0; i < fields.size(); ++i) {
-        SRPC_RETURN_IF_ERROR(walk_pointer_fields(
-            registry, layouts, arch, fields[i].type,
-            bytes + layout.value()->field_offsets[i], fn));
-      }
-      return Status::ok();
-    }
-  }
-  return internal_error("unreachable type kind");
-}
-
 Result<PackedClosure> ClosurePacker::pack(std::span<const std::uint64_t> roots,
                                           std::uint64_t budget_bytes,
                                           bool require_roots) const {
@@ -56,18 +13,20 @@ Result<PackedClosure> ClosurePacker::pack(std::span<const std::uint64_t> roots,
   std::unordered_set<std::uint64_t> enqueued;
   std::unordered_set<LongPointer, LongPointerHash> included;
 
+  // Whether one more datum with plan `plan` stays within the budget.
+  auto fits = [&](const Layout& plan) {
+    return out.estimated_wire_bytes + graph_object_wire_size(plan) <= budget_bytes;
+  };
   // Adds one readable datum to the result and queues its pointer targets.
-  auto add_datum = [&](const LocalDataView::DatumView& datum) -> Status {
+  auto add_datum = [&](const LocalDataView::DatumView& datum, const Layout& plan) {
+    included.insert(datum.id);
+    out.estimated_wire_bytes += graph_object_wire_size(plan);
     out.groups[datum.id.space].push_back(
         GraphObjectRef{datum.id.address, datum.id.type, datum.image});
     ++out.objects;
-    return walk_pointer_fields(
-        codec_.registry, codec_.layouts, arch_, datum.id.type, datum.image,
-        [&](std::uint64_t target, TypeId pointee) -> Status {
-          (void)pointee;
-          if (enqueued.insert(target).second) queue.push_back(target);
-          return Status::ok();
-        });
+    plan.for_each_pointer(arch_, datum.image, [&](std::uint64_t target, TypeId) {
+      if (enqueued.insert(target).second) queue.push_back(target);
+    });
   };
 
   // Roots first. For fetch service (require_roots) they transfer
@@ -90,14 +49,10 @@ Result<PackedClosure> ClosurePacker::pack(std::span<const std::uint64_t> roots,
       continue;  // pass-through pointer: the receiver fetches from its home
     }
     if (included.contains(view.value().id)) continue;
-    auto est = graph_object_wire_size(codec_, view.value().id.type);
-    if (!est) return est.status();
-    if (!require_roots && out.estimated_wire_bytes + est.value() > budget_bytes) {
-      continue;
-    }
-    included.insert(view.value().id);
-    out.estimated_wire_bytes += est.value();
-    SRPC_RETURN_IF_ERROR(add_datum(view.value()));
+    auto plan = codec_.layouts.layout_of(arch_, view.value().id.type);
+    if (!plan) return plan.status();
+    if (!require_roots && !fits(*plan.value())) continue;
+    add_datum(view.value(), *plan.value());
   }
 
   // Bounded traversal of the children (the eagerness knob, §3.3).
@@ -113,14 +68,10 @@ Result<PackedClosure> ClosurePacker::pack(std::span<const std::uint64_t> roots,
     auto view = view_.view_local(addr);
     if (!view || view.value().image == nullptr) continue;  // frontier
     if (included.contains(view.value().id)) continue;
-    auto est = graph_object_wire_size(codec_, view.value().id.type);
-    if (!est) return est.status();
-    if (out.estimated_wire_bytes + est.value() > budget_bytes) {
-      break;  // budget spent: everything still queued stays frontier
-    }
-    included.insert(view.value().id);
-    out.estimated_wire_bytes += est.value();
-    SRPC_RETURN_IF_ERROR(add_datum(view.value()));
+    auto plan = codec_.layouts.layout_of(arch_, view.value().id.type);
+    if (!plan) return plan.status();
+    if (!fits(*plan.value())) break;  // budget spent: the rest stays frontier
+    add_datum(view.value(), *plan.value());
   }
   return out;
 }

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <span>
 #include <vector>
@@ -86,13 +85,5 @@ class ClosurePacker {
   const LocalDataView& view_;
   TraversalOrder order_;
 };
-
-// Invokes `fn(ordinary_pointer_value, pointee_type)` for every non-null
-// pointer field reachable inside one value of `type` at `src` (descending
-// through nested structs and arrays, not through the pointers themselves).
-Status walk_pointer_fields(
-    const TypeRegistry& registry, const LayoutEngine& layouts, const ArchModel& arch,
-    TypeId type, const void* src,
-    const std::function<Status(std::uint64_t, TypeId)>& fn);
 
 }  // namespace srpc

@@ -175,8 +175,8 @@ Status encode_graph_payload(const ValueCodec& codec, const ArchModel& arch,
   // otherwise regrow the buffer repeatedly mid-encode.
   std::uint64_t estimate = 24;  // header fields
   for (const auto& [type, n] : type_counts) {
-    auto per_object = graph_object_wire_size(codec, type);
-    if (per_object) estimate += per_object.value() * n;
+    auto plan = codec.layouts.layout_of(arch, type);
+    if (plan) estimate += graph_object_wire_size(*plan.value()) * n;
   }
   enc.reserve(estimate);
 
@@ -231,7 +231,8 @@ Status decode_graph_payload(const ValueCodec& codec, const ArchModel& arch,
   if (!base) return base.status();
   auto default_type = dec.get_u32();
   if (!default_type) return default_type.status();
-  auto count = dec.get_u32();
+  // Each object takes at least its address header and one value word.
+  auto count = dec.get_count((wide.value() != 0 ? 8 : 4) + 4);
   if (!count) return count.status();
 
   std::vector<LongPointer> ids(count.value());
@@ -293,11 +294,9 @@ Status decode_graph_payload(const ValueCodec& codec, const ArchModel& arch,
   return Status::ok();
 }
 
-Result<std::uint64_t> graph_object_wire_size(const ValueCodec& codec, TypeId type) {
+std::uint64_t graph_object_wire_size(const Layout& plan) noexcept {
   // Header delta (4) + value with packed-u32 pointer fields.
-  auto value = codec.wire_size(type, /*pointer_wire_bytes=*/4);
-  if (!value) return value.status();
-  return 4 + value.value();
+  return 4 + plan.wire_size(/*pointer_wire_bytes=*/4);
 }
 
 }  // namespace srpc

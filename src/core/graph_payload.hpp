@@ -78,9 +78,10 @@ Status decode_graph_payload(const ValueCodec& codec, const ArchModel& arch,
                             ByteBuffer& in, GraphSink& sink,
                             std::vector<LongPointer>* ids_out = nullptr);
 
-// Rough per-object wire cost of `type` in a graph payload (header plus
-// value with compact 8-byte pointer fields); the closure packer budgets
-// with this (the paper's closure size is a byte budget).
-Result<std::uint64_t> graph_object_wire_size(const ValueCodec& codec, TypeId type);
+// Rough per-object wire cost in a graph payload of a value with plan
+// `plan` (header plus value with compact 4-byte pointer fields); the
+// closure packer budgets with this (the paper's closure size is a byte
+// budget).
+std::uint64_t graph_object_wire_size(const Layout& plan) noexcept;
 
 }  // namespace srpc

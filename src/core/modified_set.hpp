@@ -1,55 +1,24 @@
 // Support machinery for delta-encoded modified sets (PROTOCOL.md
 // "MODIFIED_DELTA").
 //
-// PointerRangeIndex answers "which bytes of this type's local layout hold
-// pointer fields?". Raw byte-range deltas ship local images verbatim, and a
-// swizzled local pointer is meaningless in any other space — so a delta
-// whose dirty ranges touch pointer bytes must fall back to the graph
-// payload encoder, which unswizzles pointers properly.
-//
 // ShipState is the per-object epoch/fingerprint record behind the
 // "already shipped to this hop" skip: each space fingerprints an object's
 // effective delta over its *own* image and remembers, per peer, the
 // fingerprint that peer last observed (either because we shipped it or
 // because the peer sent it to us). Fingerprints never cross the wire.
+// Which bytes of an image hold pointers — a delta touching them must take
+// the graph payload encoder — is the type's compiled plan's to say
+// (Layout::pointer_ranges).
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "common/byte_range.hpp"
 #include "common/ids.hpp"
-#include "common/status.hpp"
-#include "types/arch.hpp"
-#include "types/layout.hpp"
-#include "types/type_registry.hpp"
 
 namespace srpc {
-
-class PointerRangeIndex {
- public:
-  PointerRangeIndex(const TypeRegistry& registry, const LayoutEngine& layouts,
-                    const ArchModel& arch)
-      : registry_(registry), layouts_(layouts), arch_(arch) {}
-  PointerRangeIndex(const PointerRangeIndex&) = delete;
-  PointerRangeIndex& operator=(const PointerRangeIndex&) = delete;
-
-  // Merged byte ranges covered by pointer fields anywhere in `type`'s local
-  // layout (recursing through structs and arrays). Cached per type; the
-  // span stays valid for the index's lifetime.
-  Result<std::span<const ByteRange>> pointer_ranges(TypeId type) const;
-
- private:
-  Status collect(TypeId type, std::uint64_t base,
-                 std::vector<ByteRange>& out) const;
-
-  const TypeRegistry& registry_;
-  const LayoutEngine& layouts_;
-  const ArchModel& arch_;
-  mutable std::unordered_map<TypeId, std::vector<ByteRange>> cache_;
-};
 
 // Per-object, session-scoped shipping record (see Runtime).
 struct ShipState {

@@ -53,7 +53,6 @@ Runtime::Runtime(SpaceId self, std::string name, const ArchModel& arch,
       host_types_(host_types),
       sim_(sim),
       directory_(std::move(directory)),
-      pointer_index_(registry, layouts, arch),
       endpoint_(self, transport, mailbox_),
       heap_(registry, layouts, arch, self),
       cache_(registry, layouts, arch, self, cache_options, *this),
@@ -434,17 +433,15 @@ Status Runtime::attach_modified_set(ByteBuffer& out, SpaceId dest,
       // Raw ranges ship local images verbatim; swizzled local pointers are
       // meaningless elsewhere, so pointer-touching deltas take the graph
       // encoder instead.
-      auto pointer_bytes = pointer_index_.pointer_ranges(d.id.type);
-      if (!pointer_bytes) return pointer_bytes.status();
-      if (ranges_intersect(eff, pointer_bytes.value())) {
+      auto plan = layouts_.layout_of(arch_, d.id.type);
+      if (!plan) return plan.status();
+      if (ranges_intersect(eff, plan.value()->pointer_ranges)) {
         as_delta = false;
-      } else if (d.complete) {
+      } else if (d.complete && modified_delta_wire_size(eff) >=
+                                   graph_object_wire_size(*plan.value())) {
         // Full-image fallback: past this point the delta costs more wire
         // than simply re-sending the object.
-        auto full_cost = graph_object_wire_size(codec_, d.id.type);
-        if (full_cost && modified_delta_wire_size(eff) >= full_cost.value()) {
-          as_delta = false;
-        }
+        as_delta = false;
       }
     }
     if (!as_delta && !d.complete) {
@@ -847,7 +844,7 @@ Status Runtime::flush_alloc_batches() {
                                    nullptr, /*idempotent=*/false);
     if (!reply) return reply.status();
     xdr::Decoder dec(reply.value().payload);
-    auto n = dec.get_u32();
+    auto n = dec.get_count(16);
     if (!n) return n.status();
     std::vector<std::pair<std::uint64_t, std::uint64_t>> assigned;
     assigned.reserve(n.value());
@@ -1535,7 +1532,7 @@ Status Runtime::serve_rejoin(Message msg) {
   xdr::Decoder dec(msg.payload);
   auto inc = dec.get_u32();
   if (!inc) return send_error(msg, inc.status());
-  auto n = dec.get_u32();
+  auto n = dec.get_count(20);
   if (!n) return send_error(msg, n.status());
   std::vector<RecoveryDecision> decisions;
   decisions.reserve(n.value());
@@ -1938,7 +1935,7 @@ Status Runtime::serve_fetch(Message msg) {
   if (!wide) return send_error(msg, wide.status());
   auto base = dec.get_u64();
   if (!base) return send_error(msg, base.status());
-  auto count = dec.get_u32();
+  auto count = dec.get_count(wide.value() != 0 ? 8 : 4);
   if (!count) return send_error(msg, count.status());
 
   std::vector<std::uint64_t> roots;
@@ -2122,7 +2119,7 @@ Status Runtime::serve_wb_prepare(Message msg) {
   // section either way.
   std::vector<std::uint64_t> writes;
   if (multi_session_) {
-    auto n = dec.get_u32();
+    auto n = dec.get_count(8);
     if (!n) return send_error(msg, n.status());
     writes.reserve(n.value());
     for (std::uint32_t i = 0; i < n.value(); ++i) {

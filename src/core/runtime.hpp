@@ -703,7 +703,6 @@ class Runtime final : public PageFetcher,
   SimNetwork* sim_;
   std::function<std::vector<SpaceId>()> directory_;
   const std::atomic<bool>* uniform_arch_ = nullptr;  // owned by the World
-  PointerRangeIndex pointer_index_;
   bool modified_deltas_enabled_ = true;
   bool parallel_commit_ = true;
 

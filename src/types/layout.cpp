@@ -9,6 +9,26 @@ namespace {
 std::uint64_t align_up(std::uint64_t offset, std::uint32_t align) noexcept {
   return (offset + align - 1) / align * align;
 }
+
+// Appends `run` moved `base` bytes on, extending the last run instead when
+// the two leaf sequences form one arithmetic progression of equal leaves.
+void append_run(std::vector<LayoutRun>& runs, LayoutRun run, std::uint64_t base) {
+  run.offset += base;
+  if (!runs.empty()) {
+    LayoutRun& last = runs.back();
+    const std::uint64_t stride = last.count > 1  ? last.stride
+                                 : run.count > 1 ? run.stride
+                                                 : run.offset - last.offset;
+    if (last.pointee == run.pointee && last.scalar == run.scalar &&
+        (run.count == 1 || run.stride == stride) &&
+        run.offset == last.offset + last.count * stride) {
+      last.stride = stride;
+      last.count += run.count;
+      return;
+    }
+  }
+  runs.push_back(run);
+}
 }  // namespace
 
 Result<const Layout*> LayoutEngine::layout_of(const ArchModel& arch, TypeId type) const {
@@ -21,8 +41,21 @@ Result<const Layout*> LayoutEngine::layout_of(const ArchModel& arch, TypeId type
   std::vector<TypeId> in_progress;
   auto computed = compute(arch, type, in_progress);
   if (!computed) return computed.status();
+  Layout& plan = computed.value();
+  for (const LayoutRun& run : plan.runs) {
+    if (!run.is_pointer()) {
+      plan.scalar_wire_bytes += run.count * (scalar_size(run.scalar) <= 4 ? 4 : 8);
+      continue;
+    }
+    plan.pointer_count += run.count;
+    for (std::uint64_t i = 0; i < run.count; ++i) {
+      plan.pointer_ranges.push_back(ByteRange{
+          static_cast<std::uint32_t>(run.offset + i * run.stride), arch.pointer_size});
+    }
+  }
+  merge_ranges(plan.pointer_ranges);
   std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, _] = cache_.try_emplace(key, std::move(computed.value()));
+  auto [it, _] = cache_.try_emplace(key, std::move(plan));
   return &it->second;
 }
 
@@ -51,11 +84,13 @@ Result<Layout> LayoutEngine::compute(const ArchModel& arch, TypeId type,
       const std::uint32_t size = scalar_size(desc.scalar());
       out.size = size;
       out.align = std::min(size, arch.max_align);
+      out.runs.push_back(LayoutRun{.scalar = desc.scalar()});
       return out;
     }
     case TypeKind::kPointer: {
       out.size = arch.pointer_size;
       out.align = std::min(arch.pointer_size, arch.max_align);
+      out.runs.push_back(LayoutRun{.pointee = desc.pointee()});
       return out;
     }
     case TypeKind::kArray: {
@@ -65,6 +100,11 @@ Result<Layout> LayoutEngine::compute(const ArchModel& arch, TypeId type,
       if (!elem) return elem.status();
       out.align = elem.value().align;
       out.size = elem.value().size * desc.count();
+      for (std::uint32_t i = 0; i < desc.count(); ++i) {
+        for (const LayoutRun& run : elem.value().runs) {
+          append_run(out.runs, run, i * elem.value().size);
+        }
+      }
       return out;
     }
     case TypeKind::kStruct: {
@@ -83,6 +123,7 @@ Result<Layout> LayoutEngine::compute(const ArchModel& arch, TypeId type,
         }
         offset = align_up(offset, fl.value().align);
         out.field_offsets.push_back(offset);
+        for (const LayoutRun& run : fl.value().runs) append_run(out.runs, run, offset);
         offset += fl.value().size;
         align = std::max(align, fl.value().align);
       }

@@ -131,14 +131,4 @@ std::size_t TypeRegistry::type_count() const {
   return types_.size();
 }
 
-std::vector<TypeDescriptor> TypeRegistry::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<TypeDescriptor> out;
-  out.reserve(types_.size());
-  for (const auto& [id, desc] : types_) {
-    out.push_back(desc);
-  }
-  return out;
-}
-
 }  // namespace srpc

@@ -59,10 +59,6 @@ class TypeRegistry {
 
   [[nodiscard]] std::size_t type_count() const;
 
-  // Copies every registered descriptor (id order). Used by the registry
-  // wire codec to ship/verify the name-server contents across processes.
-  [[nodiscard]] std::vector<TypeDescriptor> snapshot() const;
-
  private:
   TypeId next_id_locked() { return next_id_++; }
 

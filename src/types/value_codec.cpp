@@ -10,8 +10,8 @@ std::int64_t sign_extend(std::uint64_t v, unsigned bits) noexcept {
   return static_cast<std::int64_t>(v << shift) >> shift;
 }
 
-Status encode_scalar(const ArchModel& arch, ScalarType s, const void* src,
-                     xdr::Encoder& enc) {
+void encode_scalar(const ArchModel& arch, ScalarType s, const void* src,
+                   xdr::Encoder& enc) {
   const std::uint32_t size = scalar_size(s);
   const std::uint64_t raw = read_scaled_uint(src, size, arch.endian);
   switch (s) {
@@ -19,53 +19,57 @@ Status encode_scalar(const ArchModel& arch, ScalarType s, const void* src,
     case ScalarType::kI16:
     case ScalarType::kI32:
       enc.put_i32(static_cast<std::int32_t>(sign_extend(raw, size * 8)));
-      return Status::ok();
+      return;
     case ScalarType::kU8:
     case ScalarType::kU16:
     case ScalarType::kU32:
+    case ScalarType::kF32:  // IEEE bits, already canonical
       enc.put_u32(static_cast<std::uint32_t>(raw));
-      return Status::ok();
+      return;
     case ScalarType::kBool:
       enc.put_bool(raw != 0);
-      return Status::ok();
+      return;
     case ScalarType::kI64:
     case ScalarType::kU64:
-      enc.put_u64(raw);
-      return Status::ok();
-    case ScalarType::kF32:
-      enc.put_u32(static_cast<std::uint32_t>(raw));  // IEEE bits, already canonical
-      return Status::ok();
     case ScalarType::kF64:
       enc.put_u64(raw);
-      return Status::ok();
+      return;
   }
-  return internal_error("unreachable scalar kind");
 }
 
 Status decode_scalar(const ArchModel& arch, ScalarType s, void* dst, xdr::Decoder& dec) {
   const std::uint32_t size = scalar_size(s);
   std::uint64_t raw = 0;
-  switch (s) {
-    case ScalarType::kI8:
-    case ScalarType::kI16:
-    case ScalarType::kI32:
-    case ScalarType::kU8:
-    case ScalarType::kU16:
-    case ScalarType::kU32:
-    case ScalarType::kF32:
-    case ScalarType::kBool: {
-      auto v = dec.get_u32();
-      if (!v) return v.status();
-      raw = v.value();
-      break;
+  if (size == 8) {
+    auto v = dec.get_u64();
+    if (!v) return v.status();
+    raw = v.value();
+  } else {
+    auto v = dec.get_u32();
+    if (!v) return v.status();
+    raw = v.value();
+    // Narrow values travel sign- or zero-extended to a whole XDR word; any
+    // other word is not a value of the type.
+    bool fits = true;
+    switch (s) {
+      case ScalarType::kBool:
+        fits = raw <= 1;
+        break;
+      case ScalarType::kU8:
+      case ScalarType::kU16:
+        fits = raw >> (size * 8) == 0;
+        break;
+      case ScalarType::kI8:
+      case ScalarType::kI16:
+        fits = sign_extend(raw, size * 8) == static_cast<std::int32_t>(raw);
+        break;
+      default:
+        break;
     }
-    case ScalarType::kI64:
-    case ScalarType::kU64:
-    case ScalarType::kF64: {
-      auto v = dec.get_u64();
-      if (!v) return v.status();
-      raw = v.value();
-      break;
+    if (!fits) {
+      return protocol_error("XDR word " + std::to_string(raw) +
+                            " out of range for scalar type " +
+                            std::to_string(static_cast<TypeId>(s)));
     }
   }
   write_scaled_uint(dst, size, arch.endian, raw);
@@ -109,115 +113,55 @@ Result<std::uint64_t> NullOnlyFieldCodec::decode(xdr::Decoder& dec, TypeId point
 
 Status ValueCodec::encode(const ArchModel& arch, TypeId type, const void* src,
                           xdr::Encoder& enc, PointerFieldCodec& ptr) const {
-  auto desc_or = registry.find(type);
-  if (!desc_or) return desc_or.status();
-  const TypeDescriptor& desc = *desc_or.value();
+  auto plan = layouts.layout_of(arch, type);
+  if (!plan) return plan.status();
   const auto* bytes = static_cast<const std::uint8_t*>(src);
-
-  switch (desc.kind()) {
-    case TypeKind::kScalar:
-      return encode_scalar(arch, desc.scalar(), src, enc);
-    case TypeKind::kPointer: {
-      const std::uint64_t ordinary =
-          read_scaled_uint(src, arch.pointer_size, arch.endian);
-      return ptr.encode(enc, ordinary, desc.pointee());
-    }
-    case TypeKind::kArray: {
-      auto elem_layout = layouts.layout_of(arch, desc.element());
-      if (!elem_layout) return elem_layout.status();
-      const std::uint64_t stride = elem_layout.value()->size;
-      for (std::uint32_t i = 0; i < desc.count(); ++i) {
-        SRPC_RETURN_IF_ERROR(encode(arch, desc.element(), bytes + i * stride, enc, ptr));
+  for (const LayoutRun& run : plan.value()->runs) {
+    for (std::uint64_t i = 0; i < run.count; ++i) {
+      const std::uint8_t* at = bytes + run.offset + i * run.stride;
+      if (!run.is_pointer()) {
+        encode_scalar(arch, run.scalar, at, enc);
+        continue;
       }
-      return Status::ok();
-    }
-    case TypeKind::kStruct: {
-      auto layout = layouts.layout_of(arch, type);
-      if (!layout) return layout.status();
-      const auto& fields = desc.fields();
-      for (std::size_t i = 0; i < fields.size(); ++i) {
-        SRPC_RETURN_IF_ERROR(encode(arch, fields[i].type,
-                                    bytes + layout.value()->field_offsets[i], enc, ptr));
-      }
-      return Status::ok();
+      SRPC_RETURN_IF_ERROR(ptr.encode(
+          enc, read_scaled_uint(at, arch.pointer_size, arch.endian), run.pointee));
     }
   }
-  return internal_error("unreachable type kind");
+  return Status::ok();
 }
 
 Status ValueCodec::decode(const ArchModel& arch, TypeId type, void* dst,
                           xdr::Decoder& dec, PointerFieldCodec& ptr) const {
-  auto desc_or = registry.find(type);
-  if (!desc_or) return desc_or.status();
-  const TypeDescriptor& desc = *desc_or.value();
+  auto plan = layouts.layout_of(arch, type);
+  if (!plan) return plan.status();
   auto* bytes = static_cast<std::uint8_t*>(dst);
-
-  switch (desc.kind()) {
-    case TypeKind::kScalar:
-      return decode_scalar(arch, desc.scalar(), dst, dec);
-    case TypeKind::kPointer: {
-      auto ordinary = ptr.decode(dec, desc.pointee());
+  for (const LayoutRun& run : plan.value()->runs) {
+    for (std::uint64_t i = 0; i < run.count; ++i) {
+      std::uint8_t* at = bytes + run.offset + i * run.stride;
+      if (!run.is_pointer()) {
+        SRPC_RETURN_IF_ERROR(decode_scalar(arch, run.scalar, at, dec));
+        continue;
+      }
+      auto ordinary = ptr.decode(dec, run.pointee);
       if (!ordinary) return ordinary.status();
       if (arch.pointer_size < 8 &&
           ordinary.value() >= (1ULL << (8 * arch.pointer_size))) {
         return internal_error("swizzled pointer does not fit " +
                               std::to_string(arch.pointer_size) + "-byte pointer");
       }
-      write_scaled_uint(dst, arch.pointer_size, arch.endian, ordinary.value());
-      return Status::ok();
-    }
-    case TypeKind::kArray: {
-      auto elem_layout = layouts.layout_of(arch, desc.element());
-      if (!elem_layout) return elem_layout.status();
-      const std::uint64_t stride = elem_layout.value()->size;
-      for (std::uint32_t i = 0; i < desc.count(); ++i) {
-        SRPC_RETURN_IF_ERROR(decode(arch, desc.element(), bytes + i * stride, dec, ptr));
-      }
-      return Status::ok();
-    }
-    case TypeKind::kStruct: {
-      auto layout = layouts.layout_of(arch, type);
-      if (!layout) return layout.status();
-      const auto& fields = desc.fields();
-      for (std::size_t i = 0; i < fields.size(); ++i) {
-        SRPC_RETURN_IF_ERROR(decode(arch, fields[i].type,
-                                    bytes + layout.value()->field_offsets[i], dec, ptr));
-      }
-      return Status::ok();
+      write_scaled_uint(at, arch.pointer_size, arch.endian, ordinary.value());
     }
   }
-  return internal_error("unreachable type kind");
+  return Status::ok();
 }
 
 Result<std::uint64_t> ValueCodec::wire_size(TypeId type,
                                             std::uint64_t pointer_wire_bytes) const {
-  auto desc_or = registry.find(type);
-  if (!desc_or) return desc_or.status();
-  const TypeDescriptor& desc = *desc_or.value();
-  switch (desc.kind()) {
-    case TypeKind::kScalar:
-      return static_cast<std::uint64_t>(scalar_size(desc.scalar()) <= 4 ? 4 : 8);
-    case TypeKind::kPointer:
-      return pointer_wire_bytes;
-    case TypeKind::kArray: {
-      auto elem = wire_size(desc.element(), pointer_wire_bytes);
-      if (!elem) return elem.status();
-      return elem.value() * desc.count();
-    }
-    case TypeKind::kStruct: {
-      if (desc.is_incomplete()) {
-        return failed_precondition("wire_size of incomplete struct: " + desc.name());
-      }
-      std::uint64_t total = 0;
-      for (const auto& f : desc.fields()) {
-        auto fs = wire_size(f.type, pointer_wire_bytes);
-        if (!fs) return fs.status();
-        total += fs.value();
-      }
-      return total;
-    }
-  }
-  return internal_error("unreachable type kind");
+  // The canonical form does not depend on the architecture, so any plan
+  // of the type gives the size; the host's is the one most often cached.
+  auto plan = layouts.layout_of(host_arch(), type);
+  if (!plan) return plan.status();
+  return plan.value()->wire_size(pointer_wire_bytes);
 }
 
 }  // namespace srpc

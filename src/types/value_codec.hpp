@@ -1,12 +1,13 @@
-// Descriptor-driven value encoding (paper §3.2, "data representations must
+// Plan-driven value encoding (paper §3.2, "data representations must
 // be encoded and decoded to preserve their data types in a heterogeneous
 // environment ... except for the case of pointers, which must be unswizzled
 // and swizzled").
 //
-// encode() walks a TypeDescriptor over a memory image laid out for a given
-// ArchModel and emits canonical XDR; decode() does the reverse. Pointer
-// fields are delegated to a PointerFieldCodec, because their wire form
-// depends on context: argument marshalling sends full long pointers
+// encode() runs the type's compiled plan for a given ArchModel (see
+// types/layout.hpp) over a memory image laid out for it and emits canonical
+// XDR, one leaf after another; decode() does the reverse. Pointer fields
+// are delegated to a PointerFieldCodec, because their wire form depends on
+// context: argument marshalling sends full long pointers
 // (LongPointerFieldCodec), while graph payloads use a compact tagged form
 // (core/graph_payload.hpp).
 #pragma once
@@ -69,19 +70,22 @@ class NullOnlyFieldCodec final : public PointerFieldCodec {
 
 struct ValueCodec {
   const TypeRegistry& registry;
-  const LayoutEngine& layouts;
+  const LayoutEngine& layouts;  // compiles and caches the plans
 
   // Encodes the object at `src` (laid out per `arch`) as canonical XDR.
   Status encode(const ArchModel& arch, TypeId type, const void* src,
                 xdr::Encoder& enc, PointerFieldCodec& ptr) const;
 
   // Decodes canonical XDR into the object at `dst` (laid out per `arch`).
+  // A narrow integer or bool whose XDR word lies outside its type's range
+  // is a PROTOCOL_ERROR (the encoder only ever sign- or zero-extends).
   Status decode(const ArchModel& arch, TypeId type, void* dst,
                 xdr::Decoder& dec, PointerFieldCodec& ptr) const;
 
   // Canonical wire size of one value of `type`, assuming each pointer field
   // occupies `pointer_wire_bytes` (16 for the long-pointer form; callers
-  // budgeting compact graph payloads pass their own estimate).
+  // budgeting compact graph payloads pass their own estimate). The same on
+  // every architecture.
   Result<std::uint64_t> wire_size(TypeId type,
                                   std::uint64_t pointer_wire_bytes =
                                       kLongPointerWireSize) const;

@@ -83,4 +83,15 @@ Result<std::string> Decoder::get_string(std::size_t max_len) {
   return std::string(bytes.value().begin(), bytes.value().end());
 }
 
+Result<std::uint32_t> Decoder::get_count(std::size_t min_item_bytes) {
+  auto n = get_u32();
+  if (!n) return n.status();
+  if (std::uint64_t{n.value()} * min_item_bytes > in_.remaining()) {
+    return protocol_error("XDR count " + std::to_string(n.value()) +
+                          " needs more than the " + std::to_string(in_.remaining()) +
+                          " bytes left");
+  }
+  return n.value();
+}
+
 }  // namespace srpc::xdr

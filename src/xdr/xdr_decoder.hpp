@@ -33,6 +33,12 @@ class Decoder {
 
   Result<std::string> get_string(std::size_t max_len = 1ULL << 30);
 
+  // A u32 count of items that each take at least `min_item_bytes` on the
+  // wire. A count whose items cannot all fit in the bytes left is a
+  // PROTOCOL_ERROR, so no count read from the wire sizes an allocation
+  // before its bytes have arrived.
+  Result<std::uint32_t> get_count(std::size_t min_item_bytes);
+
   [[nodiscard]] bool exhausted() const noexcept { return in_.exhausted(); }
   [[nodiscard]] std::size_t remaining() const noexcept { return in_.remaining(); }
   [[nodiscard]] ByteBuffer& buffer() noexcept { return in_; }

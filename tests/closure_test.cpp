@@ -1,6 +1,7 @@
 // ClosurePacker unit tests: bounded breadth-first closure over a mock view.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstring>
 #include <map>
 
@@ -28,7 +29,10 @@ class MockView final : public LocalDataView {
 
   void put(std::uint64_t addr, Datum d) { data_[addr] = d; }
 
+  mutable std::vector<std::uint64_t> looked_up;  // every address asked about
+
   Result<DatumView> view_local(std::uint64_t addr) const override {
+    looked_up.push_back(addr);
     auto it = data_.find(addr);
     if (it == data_.end()) return not_found("unknown address");
     DatumView view;
@@ -77,6 +81,8 @@ class ClosureTest : public ::testing::Test {
     return reinterpret_cast<std::uint64_t>(n);
   }
 
+  const Layout& plan() const { return *layouts_.layout_of(host_arch(), node_).value(); }
+
   TypeRegistry registry_;
   LayoutEngine layouts_;
   ValueCodec codec_;
@@ -85,19 +91,42 @@ class ClosureTest : public ::testing::Test {
   TypeId node_ = kInvalidTypeId;
 };
 
-TEST_F(ClosureTest, WalkPointerFieldsFindsEveryPointer) {
+TEST_F(ClosureTest, PlanPointerLeavesFindEveryPointer) {
+  // left and right are one run of two pointer leaves, 8 bytes apart.
+  std::vector<LayoutRun> pointers;
+  for (const LayoutRun& run : plan().runs) {
+    if (run.is_pointer()) pointers.push_back(run);
+  }
+  ASSERT_EQ(pointers.size(), 1u);
+  EXPECT_EQ(pointers[0].offset, offsetof(Node, left));
+  EXPECT_EQ(pointers[0].stride, sizeof(Node*));
+  EXPECT_EQ(pointers[0].count, 2u);
+  EXPECT_EQ(pointers[0].pointee, node_);
+  EXPECT_EQ(plan().pointer_ranges, (std::vector<ByteRange>{{0, 2 * sizeof(Node*)}}));
+
   Node leaf{nullptr, nullptr, 3};
   Node root{&leaf, nullptr, 1};
   std::vector<std::pair<std::uint64_t, TypeId>> seen;
-  ASSERT_TRUE(walk_pointer_fields(registry_, layouts_, host_arch(), node_, &root,
-                                  [&](std::uint64_t p, TypeId t) -> Status {
-                                    seen.emplace_back(p, t);
-                                    return Status::ok();
-                                  })
-                  .is_ok());
+  plan().for_each_pointer(host_arch(), &root, [&](std::uint64_t p, TypeId t) {
+    seen.emplace_back(p, t);
+  });
   ASSERT_EQ(seen.size(), 1u);  // null right pointer not reported
   EXPECT_EQ(seen[0].first, reinterpret_cast<std::uint64_t>(&leaf));
   EXPECT_EQ(seen[0].second, node_);
+}
+
+TEST_F(ClosureTest, PackerNeverFollowsNullPointers) {
+  Node leaf{nullptr, nullptr, 3};
+  Node root{&leaf, nullptr, 1};
+  for (Node* n : {&root, &leaf}) {
+    view_.put(addr_of(n), {{1, addr_of(n), node_}, n, true});
+  }
+  ClosurePacker packer(codec_, host_arch(), view_);
+  const std::uint64_t roots[] = {addr_of(&root)};
+  auto packed = packer.pack(roots, 1 << 20, false);
+  ASSERT_TRUE(packed.is_ok());
+  EXPECT_EQ(packed.value().objects, 2u);
+  EXPECT_EQ(view_.looked_up, (std::vector<std::uint64_t>{addr_of(&root), addr_of(&leaf)}));
 }
 
 TEST_F(ClosureTest, ZeroBudgetPacksNothingWithoutRequireRoots) {
@@ -122,7 +151,7 @@ TEST_F(ClosureTest, BudgetBoundsTheTraversal) {
   Node* root = build_tree(127, 1);
   ClosurePacker packer(codec_, host_arch(), view_);
   const std::uint64_t roots[] = {addr_of(root)};
-  const std::uint64_t per_node = graph_object_wire_size(codec_, node_).value();
+  const std::uint64_t per_node = graph_object_wire_size(plan());
   auto packed = packer.pack(roots, per_node * 10, false);
   ASSERT_TRUE(packed.is_ok());
   EXPECT_EQ(packed.value().objects, 10u);
@@ -133,7 +162,7 @@ TEST_F(ClosureTest, BreadthFirstTakesLevelsBeforeDepth) {
   Node* root = build_tree(15, 1);
   ClosurePacker packer(codec_, host_arch(), view_, TraversalOrder::kBreadthFirst);
   const std::uint64_t roots[] = {addr_of(root)};
-  const std::uint64_t per_node = graph_object_wire_size(codec_, node_).value();
+  const std::uint64_t per_node = graph_object_wire_size(plan());
   auto packed = packer.pack(roots, per_node * 7, false);
   ASSERT_TRUE(packed.is_ok());
   // BFS over a complete tree: the first 7 packed nodes are exactly the top
@@ -150,7 +179,7 @@ TEST_F(ClosureTest, DepthFirstDivesDownOneSpine) {
   Node* root = build_tree(15, 1);
   ClosurePacker packer(codec_, host_arch(), view_, TraversalOrder::kDepthFirst);
   const std::uint64_t roots[] = {addr_of(root)};
-  const std::uint64_t per_node = graph_object_wire_size(codec_, node_).value();
+  const std::uint64_t per_node = graph_object_wire_size(plan());
   auto packed = packer.pack(roots, per_node * 4, false);
   ASSERT_TRUE(packed.is_ok());
   const auto& refs = packed.value().groups.at(1);

@@ -120,6 +120,33 @@ TEST_F(FaultInjectionTest, SessionEndFailuresSurfaceToo) {
   });
 }
 
+// A FETCH_REPLY with every byte flipped claims about 2^32 objects. The
+// receiver refuses the count as a typed error before sizing anything by
+// it, aborts cleanly, and the next session works as if nothing happened.
+TEST_F(FaultInjectionTest, CorruptFetchReplyIsATypedErrorNotACrash) {
+  a_->run([&](Runtime& rt) {
+    ASSERT_TRUE(rt.begin_session().is_ok());
+    auto head = typed_call<ListNode*>(rt, 1, "head");
+    ASSERT_TRUE(head.is_ok()) << head.status().to_string();
+    fault_->corrupt_next(MessageType::kFetchReply, 1);
+    const void* roots[] = {head.value()};
+    Status fetched = rt.prefetch_many(roots, 1 << 16);
+    EXPECT_EQ(fetched.code(), StatusCode::kProtocolError) << fetched.to_string();
+    ASSERT_TRUE(rt.abort_session().is_ok());
+  });
+  EXPECT_EQ(fault_->stats().corrupted, 1u);
+
+  a_->run([&](Runtime& rt) {
+    Session session(rt);
+    auto head = typed_call<ListNode*>(rt, 1, "head");
+    ASSERT_TRUE(head.is_ok()) << head.status().to_string();
+    EXPECT_EQ(workload::sum_list(head.value()), 10 + 11 + 12);
+    head.value()->value = 40;
+    ASSERT_TRUE(session.end().is_ok());
+  });
+  EXPECT_EQ(b_->run([&](Runtime&) { return remote_head_->value; }), 40);
+}
+
 // --- duplicate-delivery scenarios (request-id dedup) ------------------------
 
 TEST_F(FaultInjectionTest, ReplayedFetchRepliesAreAbsorbed) {

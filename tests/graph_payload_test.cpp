@@ -268,6 +268,23 @@ TEST_F(GraphPayloadTest, CorruptionTripsTheCanary) {
   ASSERT_FALSE(status.is_ok());
 }
 
+TEST_F(GraphPayloadTest, ObjectCountBeyondThePayloadIsRefused) {
+  // A bare 24-byte header claiming four million objects: refused before
+  // anything is sized by the count.
+  ByteBuffer wire;
+  xdr::Encoder enc(wire);
+  enc.put_u32(5);          // space
+  enc.put_u32(0);          // narrow headers
+  enc.put_u64(0x1000);     // base
+  enc.put_u32(node_);      // default type
+  enc.put_u32(4'000'000);  // count
+  ASSERT_EQ(wire.size(), 24u);
+  CollectSink sink(layouts_);
+  auto status = decode_graph_payload(codec_, host_arch(), wire, sink);
+  EXPECT_EQ(status.code(), StatusCode::kProtocolError) << status.to_string();
+  EXPECT_TRUE(sink.slots_.empty());
+}
+
 TEST_F(GraphPayloadTest, EmptyPayloadRoundTrips) {
   MapTranslator translator(5);
   ByteBuffer wire;

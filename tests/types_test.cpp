@@ -94,6 +94,80 @@ TEST(LayoutEngine, Sparc32ShrinksPointers) {
   EXPECT_EQ(layouts.size_of(sparc32_arch(), node.value()), 16u);
   // Same logical type, 24 bytes on the 64-bit host.
   EXPECT_EQ(layouts.size_of(host_arch(), node.value()), 24u);
+
+  // Mutually recursive structs reached through pointers lay out too.
+  auto a = registry.declare_struct("A");
+  auto b = registry.declare_struct("B");
+  ASSERT_TRUE(a.is_ok() && b.is_ok());
+  const TypeId i32 = TypeRegistry::scalar_id(ScalarType::kI32);
+  const TypeId a_ptr = registry.pointer_to(a.value());
+  const TypeId b_ptr = registry.pointer_to(b.value());
+  ASSERT_TRUE(registry.define_struct(a.value(), {{"partner", b_ptr}, {"tag", i32}}).is_ok());
+  ASSERT_TRUE(registry.define_struct(b.value(), {{"partner", a_ptr}, {"tag", i32}}).is_ok());
+  EXPECT_EQ(registry.get(registry.get(a.value()).fields()[0].type).pointee(), b.value());
+  for (const TypeId id : {a.value(), b.value()}) {
+    EXPECT_EQ(layouts.size_of(sparc32_arch(), id), 8u);
+    EXPECT_EQ(layouts.size_of(host_arch(), id), 16u);
+  }
+
+  // Arrays of pointers and pointers to arrays shrink with the pointer width.
+  const TypeId u8 = TypeRegistry::scalar_id(ScalarType::kU8);
+  const TypeId f32 = TypeRegistry::scalar_id(ScalarType::kF32);
+  const TypeId f64 = TypeRegistry::scalar_id(ScalarType::kF64);
+  auto matrix = registry.register_struct("Matrix", {{"cells", registry.array_of(f64, 16)}});
+  ASSERT_TRUE(matrix.is_ok());
+  auto sensor = registry.declare_struct("Sensor");
+  ASSERT_TRUE(sensor.is_ok());
+  ASSERT_TRUE(registry
+                  .define_struct(
+                      sensor.value(),
+                      {{"name_bytes", registry.array_of(u8, 32)},
+                       {"samples", registry.array_of(f32, 8)},
+                       {"matrix", matrix.value()},
+                       {"neighbors", registry.array_of(registry.pointer_to(sensor.value()), 4)},
+                       {"calib", registry.pointer_to(registry.array_of(f64, 4))}})
+                  .is_ok());
+  // 32 + 32 + 128 + 4 pointers + 1 pointer, rounded to 8.
+  EXPECT_EQ(layouts.size_of(host_arch(), sensor.value()), 232u);
+  EXPECT_EQ(layouts.size_of(sparc32_arch(), sensor.value()), 216u);
+}
+
+TEST(LayoutEngine, PlansMergeEqualLeavesIntoRuns) {
+  TypeRegistry registry;
+  LayoutEngine layouts(registry);
+  const TypeId i64 = TypeRegistry::scalar_id(ScalarType::kI64);
+  // A scalar array is one run, however long.
+  auto array = layouts.layout_of(host_arch(), registry.array_of(i64, 1500));
+  ASSERT_TRUE(array.is_ok());
+  ASSERT_EQ(array.value()->runs.size(), 1u);
+  EXPECT_EQ(array.value()->runs[0].count, 1500u);
+  EXPECT_EQ(array.value()->runs[0].stride, 8u);
+  EXPECT_EQ(array.value()->wire_size(16), 1500u * 8);
+
+  // {i16, f64, ptr, ptr}: the pointers merge; the wire size counts XDR
+  // words, not memory bytes; the pointer bytes follow the arch.
+  auto node = registry.declare_struct("Node");
+  ASSERT_TRUE(node.is_ok());
+  const TypeId ptr = registry.pointer_to(node.value());
+  ASSERT_TRUE(registry
+                  .define_struct(node.value(),
+                                 {{"tag", TypeRegistry::scalar_id(ScalarType::kI16)},
+                                  {"weight", TypeRegistry::scalar_id(ScalarType::kF64)},
+                                  {"left", ptr},
+                                  {"right", ptr}})
+                  .is_ok());
+  for (const ArchModel* arch : {&host_arch(), &sparc32_arch()}) {
+    auto plan = layouts.layout_of(*arch, node.value());
+    ASSERT_TRUE(plan.is_ok());
+    ASSERT_EQ(plan.value()->runs.size(), 3u);
+    EXPECT_EQ(plan.value()->runs[2].offset, 16u);
+    EXPECT_EQ(plan.value()->runs[2].count, 2u);
+    EXPECT_EQ(plan.value()->runs[2].pointee, node.value());
+    EXPECT_EQ(plan.value()->scalar_wire_bytes, 4u + 8u);
+    EXPECT_EQ(plan.value()->pointer_count, 2u);
+    EXPECT_EQ(plan.value()->pointer_ranges,
+              (std::vector<ByteRange>{{16, 2 * arch->pointer_size}}));
+  }
 }
 
 TEST(LayoutEngine, RejectsValueSelfContainment) {
@@ -210,6 +284,50 @@ TEST_F(ValueCodecTest, WireSizeIsDeterministic) {
   auto size = codec_.wire_size(mix_);
   ASSERT_TRUE(size.is_ok());
   EXPECT_EQ(size.value(), 20u);
+}
+
+TEST_F(ValueCodecTest, DecodeRejectsOutOfRangeScalars) {
+  // Decodes the XDR words `words` as one value of `type`.
+  auto decode_words = [&](TypeId type, std::initializer_list<std::uint32_t> words) {
+    ByteBuffer wire;
+    xdr::Encoder enc(wire);
+    for (const std::uint32_t w : words) enc.put_u32(w);
+    std::uint8_t image[16] = {};
+    xdr::Decoder dec(wire);
+    NullOnlyFieldCodec no_pointers;
+    return codec_.decode(host_arch(), type, image, dec, no_pointers);
+  };
+  auto flags = registry_.register_struct(
+      "Flags", {{"set", TypeRegistry::scalar_id(ScalarType::kBool)},
+                {"small", TypeRegistry::scalar_id(ScalarType::kU8)}});
+  ASSERT_TRUE(flags.is_ok());
+  EXPECT_EQ(decode_words(flags.value(), {2, 1}).code(), StatusCode::kProtocolError);
+  EXPECT_EQ(decode_words(flags.value(), {1, 300}).code(), StatusCode::kProtocolError);
+  EXPECT_TRUE(decode_words(flags.value(), {1, 255}).is_ok());
+
+  struct Case {
+    ScalarType type;
+    std::uint32_t lowest;   // smallest word in range, as sent
+    std::uint32_t highest;  // largest word in range, as sent
+  };
+  for (const Case& c : {Case{ScalarType::kI8, 0xFFFFFF80U, 127},
+                        Case{ScalarType::kI16, 0xFFFF8000U, 32767},
+                        Case{ScalarType::kU8, 0, 255},
+                        Case{ScalarType::kU16, 0, 65535},
+                        Case{ScalarType::kBool, 0, 1}}) {
+    const TypeId type = TypeRegistry::scalar_id(c.type);
+    SCOPED_TRACE(type);
+    EXPECT_TRUE(decode_words(type, {c.lowest}).is_ok());
+    EXPECT_TRUE(decode_words(type, {c.highest}).is_ok());
+    EXPECT_EQ(decode_words(type, {c.highest + 1}).code(), StatusCode::kProtocolError);
+    if (c.lowest != 0) {
+      EXPECT_EQ(decode_words(type, {c.lowest - 1}).code(), StatusCode::kProtocolError);
+    }
+  }
+  // Whole-word scalars take every word.
+  for (const ScalarType s : {ScalarType::kI32, ScalarType::kU32}) {
+    EXPECT_TRUE(decode_words(TypeRegistry::scalar_id(s), {0xFFFFFFFFU}).is_ok());
+  }
 }
 
 TEST_F(ValueCodecTest, NullOnlyCodecRejectsPointers) {
